@@ -15,8 +15,10 @@ from functools import lru_cache
 
 FACTOR_INPUT_LIMIT = 2**63
 
-# Trial division cutoff before switching to Pollard rho.
-_TRIAL_LIMIT = 10**6
+# Trial division cutoff before switching to Pollard rho.  Every composite
+# up to 10**6 has a prime factor <= 1000, so such inputs never reach rho;
+# larger cofactors are split by rho, which beats a longer Python loop.
+_TRIAL_LIMIT = 2**10
 
 # Witnesses making Miller-Rabin deterministic for all n < 3.3 * 10**24,
 # which covers every input we accept.
@@ -160,7 +162,10 @@ def _split(m: int, out: dict[int, int]) -> None:
     if is_prime(m):
         out[m] = out.get(m, 0) + 1
         return
-    g = _pollard_rho(m)
+    # Rho needs ~sqrt(p) steps for the smallest prime p; a perfect square
+    # is its worst case (p = sqrt(m) for p**2), so split on the root.
+    r = math.isqrt(m)
+    g = r if r * r == m else _pollard_rho(m)
     _split(g, out)
     _split(m // g, out)
 
@@ -169,8 +174,9 @@ def _split(m: int, out: dict[int, int]) -> None:
 def factorize(n: int) -> Factorization:
     """Complete factorization of n, 1 <= n <= 2**63.
 
-    Trial division up to 10**6, then Pollard rho with deterministic
-    Miller-Rabin, so results are reproducible.
+    Trial division by odd d <= 2**10, then each remaining cofactor is
+    either prime (deterministic Miller-Rabin), a perfect square (split on
+    its integer root) or split by Pollard rho, so results are reproducible.
     """
     if n < 1:
         raise ValueError(f"cannot factor non-positive {n}")

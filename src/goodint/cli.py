@@ -160,14 +160,21 @@ def _cmd_enumerate(args) -> int:
         for lo in range(1, args.max + 1, _CHUNK)
     ]
     if jobs <= 1 or len(tasks) <= 1:
-        chunks = (_enumerate_chunk(t) for t in tasks)
+        _write_chunks(_enumerate_chunk(t) for t in tasks)
     else:
         pool = ProcessPoolExecutor(max_workers=jobs)
-        chunks = pool.map(_enumerate_chunk, tasks)
+        try:
+            _write_chunks(pool.map(_enumerate_chunk, tasks))
+        finally:
+            # On a closed pipe, drop the chunks not yet started.
+            pool.shutdown(cancel_futures=True)
+    return EXIT_OK
+
+
+def _write_chunks(chunks) -> None:
     for chunk in chunks:
         for line in chunk:
             sys.stdout.write(line + "\n")
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
 import math
+import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -227,6 +229,58 @@ class TestMultiplicativeOrder:
         for beta in range(2, 12):
             m = 1 << beta
             assert arith.multiplicative_order(m - 1, m) == 2
+
+
+def _random_prime(rng: random.Random, bits: int) -> int:
+    while True:
+        n = rng.getrandbits(bits) | (1 << (bits - 1)) | 1
+        if arith.is_prime(n):
+            return n
+
+
+def _large_modulus(rng: random.Random, shape: str) -> tuple[int, dict[int, int]]:
+    """A modulus in 2**40..2**62 of the given shape, with its factorization."""
+    if shape == "smooth":  # 3 left out so that 3 stays a unit
+        while True:
+            n = math.prod(p ** rng.randint(0, 6) for p in (2, 5, 7, 11, 13, 17, 19, 23, 29))
+            if 2**40 <= n <= 2**62:
+                return n, factor_by_trial(n)
+    if shape == "prime":
+        p = _random_prime(rng, rng.randint(41, 62))
+        return p, {p: 1}
+    if shape == "semiprime":
+        bp = rng.randint(21, 31)
+        p = _random_prime(rng, bp)
+        q = _random_prime(rng, rng.randint(max(21, 42 - bp), 62 - bp))
+        return p * q, {p: 1, q: 1} if p != q else {p: 2}
+    p = _random_prime(rng, rng.randint(21, 31))
+    return p * p, {p: 2}
+
+
+class TestLargeModuliBatch:
+    """Factors > 10**6 must go to Pollard rho (or the square split) quickly;
+    a long trial-division loop costs ~0.1 s per such modulus and fails here."""
+
+    def test_batch_is_exact_and_fast(self):
+        rng = random.Random(20180405)
+        cases = [_large_modulus(rng, shape)
+                 for _ in range(10) for shape in ("smooth", "prime", "semiprime", "square")]
+        arith.factorize.cache_clear()
+        arith.carmichael_lambda.cache_clear()
+        start = time.perf_counter()
+        results = [(arith.factorize(n), arith.multiplicative_order(3, n)) for n, _ in cases]
+        elapsed = time.perf_counter() - start
+        for (n, expected), (f, t) in zip(cases, results):
+            got = {2: f.beta} if f.beta else {}
+            got.update(f.odd_part)
+            assert got == expected, n
+            lam = math.lcm(*(p ** (e - 1) * (p - 1) for p, e in expected.items()))
+            assert lam % t == 0 and pow(3, t, n) == 1
+            ft = arith.factorize(t)
+            assert math.prod(p**e for p, e in ft.prime_items()) == t
+            for q, _ in ft.prime_items():
+                assert arith.is_prime(q) and pow(3, t // q, n) != 1
+        assert elapsed < 1.0, f"40 large moduli took {elapsed:.2f} s"
 
 
 class TestOrderViaCrt:

@@ -1,0 +1,65 @@
+"""Differential tests of the arith kernels against sympy.
+
+sympy shares no code with goodint.arith, so agreement on factorizations,
+primality and orders is independent evidence.  The strategies lean on
+inputs whose factors exceed the trial-division cutoff (2**10), the inputs
+that reach the perfect-square split and Pollard rho.
+"""
+
+import math
+
+import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+
+from goodint import arith
+
+sympy = pytest.importorskip("sympy")
+
+LIMIT = arith.FACTOR_INPUT_LIMIT
+
+# Primes p with 2**10 < p < 2**31 (the largest prime below 2**31 is 2**31-1).
+big_primes = st.integers(2**10, 2**31 - 2).map(sympy.nextprime)
+semiprimes = st.tuples(big_primes, big_primes).map(math.prod)
+prime_squares = big_primes.map(lambda p: p * p)
+prime_cubes = st.integers(2**10, 2**21 - 20).map(sympy.nextprime).map(lambda p: p**3)
+# A cofactor below 2**20 times one large prime.
+mixed = st.tuples(st.integers(1, 2**20),
+                  st.integers(2**10, 2**42).map(sympy.nextprime)).map(math.prod)
+rho_inputs = st.one_of(semiprimes, prime_squares, prime_cubes, mixed,
+                       st.integers(1, LIMIT))
+
+FIXED = (1031 * 1033, 999983**2, (2**31 - 1) ** 2, 2**61 - 1, 3215031751)
+
+
+def _as_dict(f: arith.Factorization) -> dict[int, int]:
+    got = {2: f.beta} if f.beta else {}
+    got.update(f.odd_part)
+    return got
+
+
+@pytest.mark.parametrize("n", FIXED)
+def test_factorize_fixed(n):
+    assert _as_dict(arith.factorize(n)) == sympy.factorint(n)
+
+
+@given(rho_inputs)
+@settings(max_examples=150, deadline=None)
+def test_factorize_matches_factorint(n):
+    assert _as_dict(arith.factorize(n)) == sympy.factorint(n)
+
+
+@given(st.one_of(rho_inputs, big_primes, st.integers(0, 10**6)))
+@settings(max_examples=300, deadline=None)
+@example(3215031751)  # strong pseudoprime to bases 2, 3, 5 and 7
+@example(2**61 - 1)
+@example(1031 * 1033)
+def test_is_prime_matches_isprime(n):
+    assert arith.is_prime(n) == sympy.isprime(n)
+
+
+@given(st.integers(1, LIMIT), st.one_of(rho_inputs, st.sampled_from(FIXED)))
+@settings(max_examples=100, deadline=None)
+def test_order_matches_n_order(x, m):
+    assume(m > 1 and math.gcd(x, m) == 1)
+    assert arith.multiplicative_order(x, m) == sympy.n_order(x, m)
