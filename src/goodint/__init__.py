@@ -28,7 +28,6 @@ from .audit import (
     audit_negation_from_even_order,
     audit_odd_witness_variants,
     audit_order2_congruence,
-    audit_whole_order_variant,
     crossval_sweep,
 )
 from .classify import (
@@ -57,7 +56,6 @@ __all__ = [
     "audit_negation_from_even_order",
     "audit_odd_witness_variants",
     "audit_order2_congruence",
-    "audit_whole_order_variant",
     "brute_force_sweep",
     "brute_force_verdict",
     "carmichael_lambda",

@@ -11,14 +11,13 @@ expected to stay silent.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
 from . import arith, classify, oracle
-from .core import Pair
+from .core import Pair, parallel_map
 
 CLAIM_ORDER2_CONGRUENCE = "jitman_eq1"
 CLAIM_NEGATION_FROM_EVEN_ORDER = "jitman_eq2"
@@ -203,6 +202,15 @@ def _odd_witness_pair_findings(task) -> list[AuditFinding]:
     return out
 
 
+def _check_sweep_bounds(a_max: int, b_max: int, ell_max: int) -> None:
+    """Refuse pair-sweep bounds before any task is built."""
+    if not 1 <= ell_max <= 10**4:
+        raise ValueError(f"ell_max must be in 1..10**4, got {ell_max}")
+    for name, value in (("a_max", a_max), ("b_max", b_max)):
+        if not 0 <= value <= 10**3:
+            raise ValueError(f"{name} must be in 0..10**3, got {value}")
+
+
 def audit_odd_witness_variants(a_max: int, b_max: int, ell_max: int,
                                jobs: int | None = None) -> dict[str, list[AuditFinding]]:
     """Both odd-witness decision variants vs. the definitional oracle.
@@ -211,27 +219,18 @@ def audit_odd_witness_variants(a_max: int, b_max: int, ell_max: int,
     ell = 2**beta * d <= ell_max with beta >= 2, d >= 3 coprime to ab, and
     returns discrepancies grouped per variant.  The per_prime list is
     expected to stay empty; the literal list documents where the printed
-    whole-modulus condition diverges.
+    whole-modulus condition diverges.  Bounds: a_max, b_max in 0..10**3,
+    ell_max in 1..10**4.
     """
-    if not 1 <= ell_max <= 10**4:
-        raise ValueError(f"ell_max must be in 1..10**4, got {ell_max}")
+    _check_sweep_bounds(a_max, b_max, ell_max)
     pairs, ells = _odd_witness_instances(a_max, b_max, ell_max)
     tasks = [(a, b, ells, ell_max) for a, b in pairs]
     grouped: dict[str, list[AuditFinding]] = {v: [] for v in classify.VARIANTS}
-    for chunk in _run_tasks(_odd_witness_pair_findings, tasks, jobs):
+    for chunk in parallel_map(_odd_witness_pair_findings, tasks, jobs or 1):
         for finding in chunk:
             variant = finding.note.split("=", 1)[1]
             grouped[variant].append(finding)
     return grouped
-
-
-def audit_whole_order_variant(a_max: int, b_max: int, ell_max: int,
-                              variant: str = "literal",
-                              jobs: int | None = None) -> list[AuditFinding]:
-    """Discrepancy list for one odd-witness variant (see audit_odd_witness_variants)."""
-    if variant not in classify.VARIANTS:
-        raise ValueError(f"variant must be one of {classify.VARIANTS}, got {variant!r}")
-    return audit_odd_witness_variants(a_max, b_max, ell_max, jobs=jobs)[variant]
 
 
 # ---------------------------------------------------------------------------
@@ -266,8 +265,10 @@ def crossval_sweep(a_max: int, b_max: int, ell_max: int,
 
     Covers every coprime (a, b) with a <= a_max, a < b <= b_max and every
     ell <= ell_max; flags and witnesses must all coincide, so any returned
-    finding is a defect somewhere.
+    finding is a defect somewhere.  Bounds: a_max, b_max in 0..10**3, ell_max
+    in 1..10**4.
     """
+    _check_sweep_bounds(a_max, b_max, ell_max)
     tasks = [
         (a, b, ell_max)
         for a in range(1, a_max + 1)
@@ -275,16 +276,6 @@ def crossval_sweep(a_max: int, b_max: int, ell_max: int,
         if math.gcd(a, b) == 1
     ]
     out: list[AuditFinding] = []
-    for chunk in _run_tasks(_crossval_pair, tasks, jobs):
+    for chunk in parallel_map(_crossval_pair, tasks, jobs or 1):
         out.extend(chunk)
     return out
-
-
-def _run_tasks(fn, tasks, jobs):
-    """Map fn over tasks, optionally across processes; order is preserved."""
-    if jobs is None:
-        jobs = 1
-    if jobs <= 1 or len(tasks) <= 1:
-        return [fn(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, tasks, chunksize=max(1, len(tasks) // (4 * jobs))))

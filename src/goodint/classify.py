@@ -1,10 +1,13 @@
 """Decision procedures for good / oddly-good moduli.
 
-The deciders here settle membership by case analysis on (parity of ab,
-2-part of ell, odd part of ell) using per-prime multiplicative orders; they
-never search for exponents themselves.  Witnesses and the odd/even split
-are delegated to the order oracle, so a decider's contribution to a Verdict
-is exactly its membership bit.
+One membership table settles every decider.  Write ell = 2**beta * d with
+d odd and x = a*b**-1.  The 2-part passes when x = -1 (mod 2**beta) (the
+theorem) or beta <= nu2(a + b) (the corollary, odd pairs only).  The odd
+part passes through the common 2-adic valuation s of the per-prime orders
+Ord_p(x), p | d: s >= 1 suffices when beta <= 1, s == 1 is needed when
+beta >= 2, and s == 1 (or d == 1) is exactly what makes a witness odd.  A
+good ell costs one more order, t = Ord_ell(x), whose half is the smallest
+witness; the deciders never consult the order oracle.
 
 `is_oddly_good` exists in two variants because the whole-modulus order
 condition ("literal") and the per-prime condition ("per_prime") genuinely
@@ -16,6 +19,7 @@ does not.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 from . import arith, oracle
 from .core import Pair, Verdict
@@ -53,10 +57,6 @@ def sum_valuation(pair: Pair) -> int | None:
     """2-adic valuation of a + b; None encodes a + b = 0 (every power divides)."""
     s = pair.a + pair.b
     return None if s == 0 else arith.nu2(s)
-
-
-def _le_gamma(beta: int, gamma: int | None) -> bool:
-    return gamma is None or beta <= gamma
 
 
 def power_of_two_equivalence(pair: Pair, beta: int) -> tuple[bool, bool, bool]:
@@ -112,46 +112,51 @@ def doubling_verdicts(pair: Pair, d: int) -> tuple[bool, bool]:
     )
 
 
-def _delegated(pair: Pair, ell: int, good: bool, method: str,
-               s_val2: int | None = None, order_claim_ok: bool | None = None) -> Verdict:
-    if not good:
-        return Verdict(ell, False, False, False, None, method, s_val2, order_claim_ok)
-    o = oracle.order_oracle_verdict(pair, ell)
-    return Verdict(ell, True, o.oddly_good, o.evenly_good, o.witness, method,
-                   s_val2, order_claim_ok)
+def _decide(pair: Pair, ell: int, method: str, variant: str = "per_prime") -> Verdict:
+    """The membership table; method picks the 2-part test (theorem or corollary).
+
+    The corollary verdict also reports s (s_val2) and, when good, whether
+    nu2(Ord_ell(x)) == s (order_claim_ok).  variant="literal" replaces only
+    the oddly_good bit by nu2(Ord_d(x)) == 1 when beta >= 2 and d > 1.
+    """
+    if variant not in VARIANTS:
+        raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
+    corollary = method == "corollary"
+    if corollary:
+        _require_odd_pair(pair)
+    if ell < 1:
+        raise ValueError(f"ell must be positive, got {ell}")
+    if math.gcd(pair.a * pair.b, ell) != 1:
+        return Verdict(ell, False, False, False, None, method)
+    if ell <= 2:
+        return Verdict(ell, True, True, True, 1, method)
+    f = arith.factorize(ell)
+    beta, d = f.beta, f.odd_value
+    if corollary:
+        gamma = sum_valuation(pair)
+        two_ok = gamma is None or beta <= gamma
+    else:
+        m = 1 << beta
+        two_ok = beta <= 1 or pair.residue(m) == m - 1
+    s = common_order_val2(pair, d) if d > 1 and (two_ok or corollary) else None
+    oddly = two_ok and (d == 1 or s == 1)
+    good = oddly or (two_ok and beta <= 1 and s is not None and s >= 1)
+    witness = claim_ok = None
+    if good:
+        t = arith.multiplicative_order(pair.residue(ell), ell)
+        witness = t // 2
+        if corollary and d > 1:
+            claim_ok = arith.nu2(t) == s
+    evenly = good and not oddly
+    if variant == "literal" and beta >= 2 and d > 1:
+        oddly = two_ok and arith.nu2(arith.multiplicative_order(pair.residue(d), d)) == 1
+    return Verdict(ell, good, oddly, evenly, witness, method,
+                   s if corollary else None, claim_ok)
 
 
 def is_good(pair: Pair, ell: int) -> Verdict:
     """Case-analysis membership decision for any positive ell."""
-    if ell < 1:
-        raise ValueError(f"ell must be positive, got {ell}")
-    if ell == 1:
-        return _delegated(pair, ell, True, "theorem")
-    if math.gcd(pair.a * pair.b, ell) != 1:
-        return _delegated(pair, ell, False, "theorem")
-    f = arith.factorize(ell)
-    beta, d = f.beta, f.odd_value
-    primes = [p for p, _ in f.odd_part]
-    if pair.ab_odd:
-        if beta <= 1:
-            good = d == 1 or _exists_common_even(pair, primes)
-        else:
-            m = 1 << beta
-            good = pair.residue(m) == m - 1 and (
-                d == 1 or _all_val2_one(pair, primes)
-            )
-    else:
-        good = beta == 0 and (d == 1 or _exists_common_even(pair, primes))
-    return _delegated(pair, ell, good, "theorem")
-
-
-def _exists_common_even(pair: Pair, primes) -> bool:
-    vals = set(order_val2s(pair, primes))
-    return len(vals) == 1 and vals.pop() >= 1
-
-
-def _all_val2_one(pair: Pair, primes) -> bool:
-    return all(v == 1 for v in order_val2s(pair, primes))
+    return _decide(pair, ell, "theorem")
 
 
 def is_oddly_good(pair: Pair, ell: int, variant: str = "per_prime") -> Verdict:
@@ -160,40 +165,11 @@ def is_oddly_good(pair: Pair, ell: int, variant: str = "per_prime") -> Verdict:
     variant selects the condition used when beta >= 2 and d >= 3: "literal"
     requires 2 || Ord_d(a*b**-1) for the whole odd part d, "per_prime"
     requires 2 || Ord_p(a*b**-1) for every prime p | d.  Elsewhere the two
-    coincide.  The evenly_good flag and witness come from the oracle, so a
-    refuted literal decision shows up as an internally inconsistent Verdict.
+    coincide.  Only the oddly_good bit depends on the variant: good,
+    evenly_good and the witness always come from the per-prime table, so a
+    refuted literal decision shows up as oddly_good set on a bad ell.
     """
-    if variant not in VARIANTS:
-        raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
-    if ell < 1:
-        raise ValueError(f"ell must be positive, got {ell}")
-    if ell == 1:
-        oddly = True
-    elif math.gcd(pair.a * pair.b, ell) != 1:
-        oddly = False
-    else:
-        f = arith.factorize(ell)
-        beta, d = f.beta, f.odd_value
-        primes = [p for p, _ in f.odd_part]
-        if pair.ab_odd:
-            if beta <= 1:
-                oddly = d == 1 or _all_val2_one(pair, primes)
-            else:
-                m = 1 << beta
-                if pair.residue(m) != m - 1:
-                    oddly = False
-                elif d == 1:
-                    oddly = True
-                elif variant == "literal":
-                    xd = pair.residue(d)
-                    oddly = arith.nu2(arith.multiplicative_order(xd, d)) == 1
-                else:
-                    oddly = _all_val2_one(pair, primes)
-        else:
-            oddly = beta == 0 and (d == 1 or _all_val2_one(pair, primes))
-    o = oracle.order_oracle_verdict(pair, ell)
-    return Verdict(ell, oddly or o.evenly_good, oddly, o.evenly_good,
-                   o.witness, "theorem")
+    return _decide(pair, ell, "theorem", variant)
 
 
 def is_good_via_sum_valuation(pair: Pair, ell: int) -> Verdict:
@@ -204,28 +180,7 @@ def is_good_via_sum_valuation(pair: Pair, ell: int) -> Verdict:
     verdict also reports the common per-prime order valuation s and, when
     good, whether the order mod ell carries that same valuation.
     """
-    _require_odd_pair(pair)
-    if ell < 1:
-        raise ValueError(f"ell must be positive, got {ell}")
-    if ell <= 2:
-        return _delegated(pair, ell, True, "corollary")
-    if math.gcd(pair.a * pair.b, ell) != 1:
-        return _delegated(pair, ell, False, "corollary")
-    f = arith.factorize(ell)
-    beta, d = f.beta, f.odd_value
-    gamma = sum_valuation(pair)
-    if d == 1:
-        return _delegated(pair, ell, _le_gamma(beta, gamma), "corollary")
-    s = common_order_val2(pair, d)
-    if beta <= 1:
-        good = s is not None and s >= 1
-    else:
-        good = _le_gamma(beta, gamma) and s == 1
-    claim_ok = None
-    if good:
-        whole = arith.multiplicative_order(pair.residue(ell), ell)
-        claim_ok = arith.nu2(whole) == s
-    return _delegated(pair, ell, good, "corollary", s_val2=s, order_claim_ok=claim_ok)
+    return _decide(pair, ell, "corollary")
 
 
 def is_oddly_good_via_sum_valuation(pair: Pair, ell: int) -> Verdict:
@@ -233,29 +188,7 @@ def is_oddly_good_via_sum_valuation(pair: Pair, ell: int) -> Verdict:
 
     Odd pairs only.  When the order-valuation case applies, the verdict
     reports whether 2 || Ord_ell(a*b**-1) held (order_claim_ok), which the
-    decision promises as a side effect.
+    decision promises as a side effect; an evenly-good ell reports None.
     """
-    _require_odd_pair(pair)
-    if ell < 1:
-        raise ValueError(f"ell must be positive, got {ell}")
-    o = oracle.order_oracle_verdict(pair, ell)
-    s_val2 = None
-    claim_ok = None
-    if ell <= 2:
-        oddly = True
-    elif math.gcd(pair.a * pair.b, ell) != 1:
-        oddly = False
-    else:
-        f = arith.factorize(ell)
-        beta, d = f.beta, f.odd_value
-        gamma = sum_valuation(pair)
-        if d == 1:
-            oddly = _le_gamma(beta, gamma)
-        else:
-            s_val2 = common_order_val2(pair, d)
-            oddly = _le_gamma(beta, gamma) and s_val2 == 1
-            if oddly:
-                whole = arith.multiplicative_order(pair.residue(ell), ell)
-                claim_ok = arith.nu2(whole) == 1
-    return Verdict(ell, oddly or o.evenly_good, oddly, o.evenly_good,
-                   o.witness, "corollary", s_val2=s_val2, order_claim_ok=claim_ok)
+    v = _decide(pair, ell, "corollary")
+    return v if v.oddly_good else replace(v, order_claim_ok=None)

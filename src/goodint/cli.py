@@ -15,10 +15,10 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
+from contextlib import closing
 
 from . import arith, audit, classify, oracle
-from .core import Pair, Verdict
+from .core import Pair, Verdict, parallel_map
 
 SCHEMA_VERSION = 1
 ENUM_LIMIT = 10**8
@@ -159,22 +159,12 @@ def _cmd_enumerate(args) -> int:
         (args.a, args.b, lo, min(lo + _CHUNK, args.max + 1), args.filter)
         for lo in range(1, args.max + 1, _CHUNK)
     ]
-    if jobs <= 1 or len(tasks) <= 1:
-        _write_chunks(_enumerate_chunk(t) for t in tasks)
-    else:
-        pool = ProcessPoolExecutor(max_workers=jobs)
-        try:
-            _write_chunks(pool.map(_enumerate_chunk, tasks))
-        finally:
-            # On a closed pipe, drop the chunks not yet started.
-            pool.shutdown(cancel_futures=True)
+    # closing(): on a closed pipe, drop the chunks not yet started.
+    with closing(parallel_map(_enumerate_chunk, tasks, jobs)) as chunks:
+        for chunk in chunks:
+            for line in chunk:
+                sys.stdout.write(line + "\n")
     return EXIT_OK
-
-
-def _write_chunks(chunks) -> None:
-    for chunk in chunks:
-        for line in chunk:
-            sys.stdout.write(line + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -210,8 +200,8 @@ def _cmd_audit(args) -> int:
             _emit(_finding_record(f))
         return EXIT_OK
     if args.claim == "thm2-literal":
-        findings = audit.audit_whole_order_variant(
-            args.a_max, args.b_max, args.ell_max, "literal", jobs=jobs)
+        findings = audit.audit_odd_witness_variants(
+            args.a_max, args.b_max, args.ell_max, jobs=jobs)["literal"]
         for f in sorted(findings, key=lambda f: (f.modulus, f.a, f.b)):
             _emit(_finding_record(f))
         return EXIT_OK

@@ -1,20 +1,24 @@
-"""Shared domain records: the coprime base pair and classification verdicts."""
+"""Shared domain records (the coprime base pair, classification verdicts) and
+the order-preserving process fan-out used by the audits and the CLI."""
 
 from __future__ import annotations
 
 import math
+from collections import deque
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import islice
 
 from . import arith
 
 
 @dataclass(frozen=True)
 class Pair:
-    """A coprime pair of nonzero integers (a, b) with cached parity of a*b."""
+    """A coprime pair of nonzero integers (a, b); ab_odd caches whether a*b is odd."""
 
     a: int
     b: int
-    ab_parity: str = field(init=False)
+    ab_odd: bool = field(init=False)
 
     def __post_init__(self):
         if self.a == 0 or self.b == 0:
@@ -22,12 +26,7 @@ class Pair:
         g = math.gcd(self.a, self.b)
         if g != 1:
             raise ValueError(f"a and b must be coprime, gcd({self.a}, {self.b}) = {g}")
-        parity = "odd" if (self.a & 1) and (self.b & 1) else "even"
-        object.__setattr__(self, "ab_parity", parity)
-
-    @property
-    def ab_odd(self) -> bool:
-        return self.ab_parity == "odd"
+        object.__setattr__(self, "ab_odd", bool(self.a & 1 and self.b & 1))
 
     def residue(self, m: int) -> int:
         """a * b**-1 canonicalized mod m; requires gcd(b, m) = 1."""
@@ -60,3 +59,25 @@ class Verdict:
 
     def flags(self) -> tuple[bool, bool, bool]:
         return (self.good, self.oddly_good, self.evenly_good)
+
+
+def parallel_map(fn, tasks, jobs: int):
+    """Yield fn(task) for each task in order, across `jobs` processes if jobs > 1.
+
+    At most 2 * jobs tasks are in flight, so finished results never pile up
+    ahead of a slow consumer.  Closing the generator early cancels the tasks
+    not yet started.
+    """
+    if jobs <= 1 or len(tasks) <= 1:
+        yield from map(fn, tasks)
+        return
+    pool = ProcessPoolExecutor(max_workers=jobs)
+    try:
+        rest = iter(tasks)
+        window = deque(pool.submit(fn, t) for t in islice(rest, 2 * jobs))
+        while window:
+            result = window.popleft().result()
+            window.extend(pool.submit(fn, t) for t in islice(rest, 1))
+            yield result
+    finally:
+        pool.shutdown(cancel_futures=True)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from goodint import arith, audit, classify, oracle
+from goodint import arith, audit, classify, core, oracle
 from goodint.core import Pair
 from conftest import factor_by_trial, negation_by_scan, order_by_scan
 
@@ -120,34 +120,74 @@ class TestNegationFromEvenOrder:
 
 class TestWholeOrderVariant:
     def test_finds_19_1_60(self):
-        findings = audit.audit_whole_order_variant(19, 1, 60, "literal")
+        findings = audit.audit_odd_witness_variants(19, 1, 60)["literal"]
         assert any((f.a, f.b, f.modulus) == (19, 1, 60) for f in findings)
         for f in findings:
             assert f.claim_id == "thm2_literal"
             assert f.literal_verdict and not f.oracle_verdict
 
     def test_no_discrepancy_at_11_1_12(self):
-        findings = audit.audit_whole_order_variant(11, 1, 12, "literal")
+        findings = audit.audit_odd_witness_variants(11, 1, 12)["literal"]
         assert not any((f.a, f.b, f.modulus) == (11, 1, 12) for f in findings)
 
     def test_per_prime_is_silent(self):
-        assert audit.audit_whole_order_variant(19, 5, 100, "per_prime") == []
-
-    def test_grouped_run_matches_single_runs(self):
-        grouped = audit.audit_odd_witness_variants(9, 9, 150)
-        assert grouped["literal"] == audit.audit_whole_order_variant(9, 9, 150, "literal")
-        assert grouped["per_prime"] == []
-
-    def test_rejects_unknown_variant(self):
-        with pytest.raises(ValueError):
-            audit.audit_whole_order_variant(5, 5, 60, "whole")
+        assert audit.audit_odd_witness_variants(19, 5, 100)["per_prime"] == []
 
     def test_every_literal_finding_verified_against_scan(self):
-        for f in audit.audit_whole_order_variant(15, 15, 200, "literal"):
+        for f in audit.audit_odd_witness_variants(15, 15, 200)["literal"]:
             pair = Pair(f.a, f.b)
             bv = oracle.brute_force_verdict(pair, f.modulus)
             lit = classify.is_oddly_good(pair, f.modulus, "literal")
             assert lit.oddly_good != bv.oddly_good
+
+
+class TestSweepBounds:
+    @pytest.mark.parametrize("sweep", [audit.crossval_sweep, audit.audit_odd_witness_variants])
+    @pytest.mark.parametrize("bounds", [(1001, 1, 10), (1, 1001, 10), (-1, 1, 10),
+                                        (1, -1, 10), (1, 1, 0), (1, 1, 10**4 + 1)])
+    def test_rejected_before_any_work(self, sweep, bounds, monkeypatch):
+        monkeypatch.setattr(oracle, "brute_force_sweep", None)  # any work would fail
+        with pytest.raises(ValueError):
+            sweep(*bounds)
+
+
+class TestParallelMap:
+    def test_order_is_kept_across_processes(self):
+        tasks = list(range(-40, 0))
+        assert list(core.parallel_map(abs, tasks, 2)) == [abs(t) for t in tasks]
+        assert list(core.parallel_map(abs, tasks, 1)) == [abs(t) for t in tasks]
+
+    def test_window_is_bounded_and_cancelled_on_close(self, monkeypatch):
+        stats = {"live": 0, "peak": 0, "cancelled": None}
+
+        class Done:
+            def __init__(self, value):
+                self.value = value
+
+            def result(self):
+                stats["live"] -= 1
+                return self.value
+
+        class Pool:
+            def __init__(self, max_workers):
+                pass
+
+            def submit(self, fn, task):
+                stats["live"] += 1
+                stats["peak"] = max(stats["peak"], stats["live"])
+                return Done(fn(task))
+
+            def shutdown(self, cancel_futures):
+                stats["cancelled"] = cancel_futures
+
+        monkeypatch.setattr(core, "ProcessPoolExecutor", Pool)
+        assert list(core.parallel_map(abs, range(-50, 0), 3)) == list(range(50, 0, -1))
+        assert stats["peak"] == 6 and stats["cancelled"] is True
+        stats["cancelled"] = None
+        results = core.parallel_map(abs, range(-50, 0), 3)
+        assert next(results) == 50
+        results.close()
+        assert stats["cancelled"] is True
 
 
 class TestCrossval:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -19,8 +20,8 @@ any_coprime_pairs = st.tuples(
 
 class TestPair:
     def test_parity_field(self):
-        assert Pair(3, 5).ab_parity == "odd"
-        assert Pair(1, 2).ab_parity == "even"
+        assert Pair(3, 5).ab_odd is True
+        assert Pair(1, 2).ab_odd is False
         assert Pair(-3, 5).ab_odd
 
     def test_rejects_zero(self):
@@ -264,6 +265,46 @@ class TestSumValuationDeciders:
         s = classify.common_order_val2(pair, f.odd_value)
         whole = arith.nu2(arith.multiplicative_order(pair.residue(ell), ell))
         assert s is not None and whole == s
+
+
+class TestSingleTable:
+    CASES = [(3, 5, 8), (1, 2, 5), (11, 1, 12), (19, 1, 60), (1, 3, 5), (3, 5, 1),
+             (3, 5, 2), (5, 7, 105)]
+
+    def test_deciders_never_consult_the_order_oracle(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a decider called the order oracle")
+
+        monkeypatch.setattr(oracle, "order_oracle_verdict", refuse)
+        for a, b, ell in self.CASES:
+            pair = Pair(a, b)
+            assert classify.is_good(pair, ell).method == "theorem"
+            assert classify.is_oddly_good(pair, ell).method == "theorem"
+            assert classify.is_oddly_good(pair, ell, "literal").method == "theorem"
+            if pair.ab_odd:
+                assert classify.is_good_via_sum_valuation(pair, ell).method == "corollary"
+                assert classify.is_oddly_good_via_sum_valuation(pair, ell).method == "corollary"
+        assert classify.is_good(Pair(1, 2), 5).witness == 2
+        assert classify.is_good(Pair(11, 1), 12).witness == 1
+
+    def test_literal_reports_true_membership(self):
+        v = classify.is_oddly_good(Pair(19, 1), 60, "literal")
+        assert v.oddly_good is True
+        assert not v.good and not v.evenly_good and v.witness is None
+
+    @given(any_coprime_pairs, st.integers(1, 1200))
+    @settings(max_examples=300, deadline=None)
+    def test_oddly_good_is_good(self, ab, ell):
+        pair = Pair(*ab)
+        assert classify.is_oddly_good(pair, ell) == classify.is_good(pair, ell)
+
+    @given(odd_coprime_pairs, st.integers(1, 1200))
+    @settings(max_examples=300, deadline=None)
+    def test_sum_valuation_pair_differs_only_in_claim(self, ab, ell):
+        pair = Pair(*ab)
+        odd = classify.is_oddly_good_via_sum_valuation(pair, ell)
+        full = classify.is_good_via_sum_valuation(pair, ell)
+        assert replace(odd, order_claim_ok=None) == replace(full, order_claim_ok=None)
 
 
 class TestDoublingVerdicts:

@@ -2,18 +2,21 @@ import json
 import os
 import subprocess
 import sys
+import time
+
+import pytest
 
 PKG_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def run_cli(*args, env_extra=None):
+def run_cli(*args, env_extra=None, timeout=None):
     env = dict(os.environ)
     env.pop("GOODINT_JOBS", None)
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
         [sys.executable, "-m", "goodint", *args],
-        capture_output=True, text=True, env=env, cwd=PKG_ROOT,
+        capture_output=True, text=True, env=env, cwd=PKG_ROOT, timeout=timeout,
     )
 
 
@@ -99,6 +102,22 @@ class TestEnumerate:
         plain = run_cli("enumerate", "--a", "1", "--b", "2", "--max", "1500", "--jobs", "1")
         assert via_env.stdout == plain.stdout
 
+    def test_closed_stdout_stops_workers(self):
+        env = dict(os.environ)
+        env.pop("GOODINT_JOBS", None)
+        t0 = time.monotonic()
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "goodint", "enumerate", "--a", "1", "--b", "2",
+             "--max", "600000", "--jobs", "2"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, cwd=PKG_ROOT,
+        )
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=5) == 0
+        assert time.monotonic() - t0 < 5
+        assert err == b""
+
     def test_bad_env_is_a_precondition_error(self):
         proc = run_cli("enumerate", "--a", "1", "--b", "2", "--max", "5",
                        env_extra={"GOODINT_JOBS": "many"})
@@ -159,6 +178,17 @@ class TestAudit:
         proc = run_cli("audit", "--claim", "crossval", "--a-max", "4",
                        "--b-max", "4", "--ell-max", "60")
         assert proc.returncode == 0 and proc.stdout == ""
+
+    @pytest.mark.parametrize("claim", ["crossval", "thm2-literal"])
+    @pytest.mark.parametrize("flag,value", [("--ell-max", "100000"), ("--ell-max", "0"),
+                                            ("--a-max", "1001"), ("--b-max", "1001"),
+                                            ("--a-max=-1", None), ("--b-max=-1", None)])
+    def test_sweep_bounds_refused_up_front(self, claim, flag, value):
+        bound = [flag] if value is None else [flag, value]
+        t0 = time.monotonic()
+        proc = run_cli("audit", "--claim", claim, *bound, "--jobs", "1", timeout=10)
+        assert time.monotonic() - t0 < 2
+        assert proc.returncode == 2 and proc.stdout == ""
 
     def test_unknown_claim_is_usage_error(self):
         proc = run_cli("audit", "--claim", "eq3")
