@@ -15,10 +15,17 @@ from functools import lru_cache
 
 FACTOR_INPUT_LIMIT = 2**63
 
-# Trial division cutoff before switching to Pollard rho.  Every composite
-# up to 10**6 has a prime factor <= 1000, so such inputs never reach rho;
-# larger cofactors are split by rho, which beats a longer Python loop.
+# Trial division by the odd primes below 2**10, stopping once p * p exceeds
+# the cofactor.  What is left then has no prime factor below 2**10, so
+# below 2**20 it is 1 or prime and needs no primality test; only a larger
+# cofactor goes on to Miller-Rabin and Pollard rho, which beat a longer
+# Python loop.
 _TRIAL_LIMIT = 2**10
+_TRIAL_SQUARE = _TRIAL_LIMIT * _TRIAL_LIMIT
+_TRIAL_PRIMES = tuple(
+    p for p in range(3, _TRIAL_LIMIT, 2)
+    if all(p % q for q in range(3, math.isqrt(p) + 1, 2))
+)
 
 # Witnesses making Miller-Rabin deterministic for all n < 3.3 * 10**24,
 # which covers every input we accept.
@@ -159,24 +166,35 @@ def _pollard_rho(n: int) -> int:
 
 
 def _split(m: int, out: dict[int, int]) -> None:
-    if is_prime(m):
-        out[m] = out.get(m, 0) + 1
-        return
-    # Rho needs ~sqrt(p) steps for the smallest prime p; a perfect square
-    # is its worst case (p = sqrt(m) for p**2), so split on the root.
-    r = math.isqrt(m)
-    g = r if r * r == m else _pollard_rho(m)
-    _split(g, out)
-    _split(m // g, out)
+    """Add the prime factors of m > 1, which has none below 2**10, to out.
+
+    Such an m below 2**20 is prime: a composite would be at least 1031**2.
+    """
+    if m >= _TRIAL_SQUARE:
+        # Rho needs ~sqrt(p) steps for the smallest prime p; a perfect square
+        # is its worst case (p = sqrt(m) for p**2), so split on the root.
+        r = math.isqrt(m)
+        if r * r == m:
+            _split(r, out)
+            _split(r, out)
+            return
+        if not is_prime(m):
+            g = _pollard_rho(m)
+            _split(g, out)
+            _split(m // g, out)
+            return
+    out[m] = out.get(m, 0) + 1
 
 
 @lru_cache(maxsize=1 << 16)
 def factorize(n: int) -> Factorization:
     """Complete factorization of n, 1 <= n <= 2**63.
 
-    Trial division by odd d <= 2**10, then each remaining cofactor is
-    either prime (deterministic Miller-Rabin), a perfect square (split on
-    its integer root) or split by Pollard rho, so results are reproducible.
+    Trial division by the odd primes below 2**10 stops as soon as p * p
+    exceeds the cofactor.  A cofactor below 2**20 is then 1 or prime; a
+    larger one is a prime (deterministic Miller-Rabin), a perfect square
+    (split on its integer root) or split by Pollard rho, so results are
+    reproducible.
     """
     if n < 1:
         raise ValueError(f"cannot factor non-positive {n}")
@@ -185,12 +203,16 @@ def factorize(n: int) -> Factorization:
     beta = nu2(n) if n > 1 else 0
     m = n >> beta
     fac: dict[int, int] = {}
-    d = 3
-    while d * d <= m and d <= _TRIAL_LIMIT:
-        while m % d == 0:
-            fac[d] = fac.get(d, 0) + 1
-            m //= d
-        d += 2
+    for p in _TRIAL_PRIMES:
+        if p * p > m:
+            break
+        if m % p == 0:
+            m //= p
+            e = 1
+            while m % p == 0:
+                m //= p
+                e += 1
+            fac[p] = e
     if m > 1:
         _split(m, fac)
     return Factorization(n, beta, tuple(sorted(fac.items())))
@@ -212,11 +234,29 @@ def carmichael_lambda(n: int) -> int:
     return math.lcm(*parts) if parts else 1
 
 
-def multiplicative_order(x: int, m: int) -> int:
-    """Smallest t >= 1 with x**t = 1 (mod m).
+@lru_cache(maxsize=1 << 16)
+def _prime_power_order(x: int, pp: int) -> int:
+    """Order of x mod the prime power pp, for x in [0, pp) coprime to pp.
 
-    Starts from the Carmichael bound of m and peels prime factors, so it
-    never scans linearly.  Requires gcd(x, m) = 1.
+    Starts from the Carmichael bound of pp and peels prime factors, so it
+    never scans linearly.
+    """
+    t = carmichael_lambda(pp)
+    for q, e in factorize(t).prime_items():
+        for _ in range(e):
+            if pow(x, t // q, pp) == 1:
+                t //= q
+            else:
+                break
+    return t
+
+
+def multiplicative_order(x: int, m: int) -> int:
+    """Smallest t >= 1 with x**t = 1 (mod m).  Requires gcd(x, m) = 1.
+
+    The lcm of the orders of x mod each maximal prime power of m.  Those
+    are cached per (x mod pp, pp), so a fixed x over a range of moduli
+    computes the order mod each prime power once.
     """
     if m < 1:
         raise ValueError(f"modulus must be positive, got {m}")
@@ -226,14 +266,8 @@ def multiplicative_order(x: int, m: int) -> int:
     g = math.gcd(x, m)
     if g != 1:
         raise ValueError(f"order undefined: gcd({x}, {m}) = {g}")
-    t = carmichael_lambda(m)
-    for q, e in factorize(t).prime_items():
-        for _ in range(e):
-            if t % q == 0 and pow(x, t // q, m) == 1:
-                t //= q
-            else:
-                break
-    return t
+    return math.lcm(*[_prime_power_order(x % pp, pp)
+                      for pp in factorize(m).prime_powers()])
 
 
 def order_via_crt(x: int, f: Factorization) -> OrderProfile:
@@ -242,13 +276,9 @@ def order_via_crt(x: int, f: Factorization) -> OrderProfile:
     x0 = x % m
     if math.gcd(x0, m) != 1:
         raise ValueError(f"order undefined: gcd({x0}, {m}) > 1")
-    comps = []
-    total = 1
-    for pp in f.prime_powers():
-        t = multiplicative_order(x0 % pp, pp)
-        comps.append((pp, t))
-        total = math.lcm(total, t)
-    return OrderProfile(x=x0, modulus=m, order=total, components=tuple(comps))
+    comps = tuple((pp, _prime_power_order(x0 % pp, pp)) for pp in f.prime_powers())
+    order = math.lcm(*(t for _, t in comps))
+    return OrderProfile(x=x0, modulus=m, order=order, components=comps)
 
 
 def smallest_negation_exponent(x: int, m: int) -> int | None:

@@ -171,16 +171,14 @@ def audit_negation_from_even_order(d_max: int) -> Iterator[AuditFinding]:
 # Whole-modulus vs per-prime order condition for odd witnesses.
 # ---------------------------------------------------------------------------
 
-def _odd_witness_instances(a_max: int, b_max: int, ell_max: int):
-    """Ordered coprime odd pairs and the moduli 2**beta * d, beta >= 2, d >= 3."""
-    ells = [ell for ell in range(4, ell_max + 1, 4) if (ell >> arith.nu2(ell)) >= 3]
-    pairs = [
+def _odd_witness_pairs(a_max: int, b_max: int) -> list[tuple[int, int]]:
+    """Ordered coprime odd pairs a <= a_max, b <= b_max."""
+    return [
         (a, b)
         for a in range(1, a_max + 1, 2)
         for b in range(1, b_max + 1, 2)
         if math.gcd(a, b) == 1
     ]
-    return pairs, ells
 
 
 def _odd_witness_pair_findings(task) -> list[AuditFinding]:
@@ -192,23 +190,40 @@ def _odd_witness_pair_findings(task) -> list[AuditFinding]:
         if math.gcd(a * b, ell) != 1:
             continue
         truth = sweep[ell - 1].oddly_good
-        for variant in classify.VARIANTS:
-            lit = classify.is_oddly_good(pair, ell, variant).oddly_good
-            if lit != truth:
+        # One decision per ell: the literal variant differs only in this bit.
+        per_prime = classify.is_oddly_good(pair, ell).oddly_good
+        literal = classify._literal_oddly_good(pair, arith.factorize(ell), per_prime)
+        for variant, bit in (("literal", literal), ("per_prime", per_prime)):
+            if bit != truth:
                 claim = (CLAIM_WHOLE_ORDER_VARIANT if variant == "literal"
                          else CLAIM_CUSTOM)
                 out.append(_finding(claim, a, b, ell, pair.residue(ell),
-                                    lit, truth, note=f"variant={variant}"))
+                                    bit, truth, note=f"variant={variant}"))
     return out
 
 
-def _check_sweep_bounds(a_max: int, b_max: int, ell_max: int) -> None:
-    """Refuse pair-sweep bounds before any task is built."""
+# Largest accepted pair sweep, in pairs * ell_max**2: the brute-force scan
+# of one pair grows quadratically in ell_max, and criterion 02 (199 pairs,
+# ell_max 2000, about 8e8) takes tens of seconds on one core.
+_SWEEP_WORK_LIMIT = 10**9
+
+
+def _check_sweep_bounds(a_max: int, b_max: int, ell_max: int, pairs_for) -> list:
+    """The pairs of a sweep, pairs_for(a_max, b_max), if the sweep is accepted.
+
+    Refuses a_max, b_max outside 0..10**3 or ell_max outside 1..10**4 before
+    any pair is built, then a sweep of more than 10**9 pairs * ell_max**2.
+    """
     if not 1 <= ell_max <= 10**4:
         raise ValueError(f"ell_max must be in 1..10**4, got {ell_max}")
     for name, value in (("a_max", a_max), ("b_max", b_max)):
         if not 0 <= value <= 10**3:
             raise ValueError(f"{name} must be in 0..10**3, got {value}")
+    pairs = pairs_for(a_max, b_max)
+    if len(pairs) * ell_max**2 > _SWEEP_WORK_LIMIT:
+        raise ValueError(f"sweep too large: {len(pairs)} pairs * ell_max**2 "
+                         f"exceeds {_SWEEP_WORK_LIMIT}")
+    return pairs
 
 
 def audit_odd_witness_variants(a_max: int, b_max: int, ell_max: int,
@@ -220,10 +235,11 @@ def audit_odd_witness_variants(a_max: int, b_max: int, ell_max: int,
     returns discrepancies grouped per variant.  The per_prime list is
     expected to stay empty; the literal list documents where the printed
     whole-modulus condition diverges.  Bounds: a_max, b_max in 0..10**3,
-    ell_max in 1..10**4.
+    ell_max in 1..10**4, and pairs * ell_max**2 <= 10**9.
     """
-    _check_sweep_bounds(a_max, b_max, ell_max)
-    pairs, ells = _odd_witness_instances(a_max, b_max, ell_max)
+    pairs = _check_sweep_bounds(a_max, b_max, ell_max, _odd_witness_pairs)
+    # The moduli 2**beta * d with beta >= 2 and d >= 3.
+    ells = [ell for ell in range(4, ell_max + 1, 4) if (ell >> arith.nu2(ell)) >= 3]
     tasks = [(a, b, ells, ell_max) for a, b in pairs]
     grouped: dict[str, list[AuditFinding]] = {v: [] for v in classify.VARIANTS}
     for chunk in parallel_map(_odd_witness_pair_findings, tasks, jobs or 1):
@@ -236,6 +252,16 @@ def audit_odd_witness_variants(a_max: int, b_max: int, ell_max: int,
 # ---------------------------------------------------------------------------
 # Cross-validation: every classifier against the definitional oracle.
 # ---------------------------------------------------------------------------
+
+def _crossval_pairs(a_max: int, b_max: int) -> list[tuple[int, int]]:
+    """Coprime pairs a <= a_max, a < b <= b_max."""
+    return [
+        (a, b)
+        for a in range(1, a_max + 1)
+        for b in range(a + 1, b_max + 1)
+        if math.gcd(a, b) == 1
+    ]
+
 
 def _crossval_pair(task) -> list[AuditFinding]:
     a, b, ell_max = task
@@ -266,15 +292,10 @@ def crossval_sweep(a_max: int, b_max: int, ell_max: int,
     Covers every coprime (a, b) with a <= a_max, a < b <= b_max and every
     ell <= ell_max; flags and witnesses must all coincide, so any returned
     finding is a defect somewhere.  Bounds: a_max, b_max in 0..10**3, ell_max
-    in 1..10**4.
+    in 1..10**4, and pairs * ell_max**2 <= 10**9.
     """
-    _check_sweep_bounds(a_max, b_max, ell_max)
-    tasks = [
-        (a, b, ell_max)
-        for a in range(1, a_max + 1)
-        for b in range(a + 1, b_max + 1)
-        if math.gcd(a, b) == 1
-    ]
+    pairs = _check_sweep_bounds(a_max, b_max, ell_max, _crossval_pairs)
+    tasks = [(a, b, ell_max) for a, b in pairs]
     out: list[AuditFinding] = []
     for chunk in parallel_map(_crossval_pair, tasks, jobs or 1):
         out.extend(chunk)

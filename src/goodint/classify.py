@@ -112,6 +112,21 @@ def doubling_verdicts(pair: Pair, d: int) -> tuple[bool, bool]:
     )
 
 
+def _literal_oddly_good(pair: Pair, f: arith.Factorization, oddly: bool) -> bool:
+    """The literal variant's oddly_good bit at ell = f.n, given the per-prime one.
+
+    The two differ only when beta >= 2 and d > 1, where the literal reading
+    asks for x = -1 (mod 2**beta) and 2 || Ord_d(x) for the whole odd part d.
+    Requires gcd(ab, ell) = 1.
+    """
+    beta, d = f.beta, f.odd_value
+    if beta < 2 or d == 1:
+        return oddly
+    m = 1 << beta
+    return (pair.residue(m) == m - 1
+            and arith.nu2(arith.multiplicative_order(pair.residue(d), d)) == 1)
+
+
 def _decide(pair: Pair, ell: int, method: str, variant: str = "per_prime") -> Verdict:
     """The membership table; method picks the 2-part test (theorem or corollary).
 
@@ -148,8 +163,8 @@ def _decide(pair: Pair, ell: int, method: str, variant: str = "per_prime") -> Ve
         if corollary and d > 1:
             claim_ok = arith.nu2(t) == s
     evenly = good and not oddly
-    if variant == "literal" and beta >= 2 and d > 1:
-        oddly = two_ok and arith.nu2(arith.multiplicative_order(pair.residue(d), d)) == 1
+    if variant == "literal":
+        oddly = _literal_oddly_good(pair, f, oddly)
     return Verdict(ell, good, oddly, evenly, witness, method,
                    s if corollary else None, claim_ok)
 

@@ -42,26 +42,30 @@ def _emit(record: dict) -> None:
     sys.stdout.write(json.dumps(record, separators=(",", ":")) + "\n")
 
 
-def _verdict_record(a: int, b: int, v: Verdict, agreement: bool | None = None) -> dict:
-    rec = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "verdict",
-        "ell": v.ell,
-        "a": a,
-        "b": b,
-        "good": v.good,
-        "oddly_good": v.oddly_good,
-        "evenly_good": v.evenly_good,
-        "witness": v.witness,
-        "method": v.method,
-    }
+_JSON_BOOL = {True: "true", False: "false"}
+
+
+def _verdict_line(a: int, b: int, v: Verdict, agreement: bool | None = None) -> str:
+    """One verdict record as compact JSON, keys in schema order.
+
+    Equal to json.dumps of the record with separators (",", ":"); method
+    names are plain identifiers, so they need no escaping.
+    """
+    line = (
+        f'{{"schema_version":{SCHEMA_VERSION},"kind":"verdict","ell":{v.ell},'
+        f'"a":{a},"b":{b},"good":{_JSON_BOOL[v.good]},'
+        f'"oddly_good":{_JSON_BOOL[v.oddly_good]},'
+        f'"evenly_good":{_JSON_BOOL[v.evenly_good]},'
+        f'"witness":{"null" if v.witness is None else v.witness},'
+        f'"method":"{v.method}"'
+    )
     if v.s_val2 is not None:
-        rec["s_val2"] = v.s_val2
+        line += f',"s_val2":{v.s_val2}'
     if v.order_claim_ok is not None:
-        rec["order_claim_ok"] = v.order_claim_ok
+        line += f',"order_claim_ok":{_JSON_BOOL[v.order_claim_ok]}'
     if agreement is not None:
-        rec["agreement"] = agreement
-    return rec
+        line += f',"agreement":{_JSON_BOOL[agreement]}'
+    return line + "}"
 
 
 def _finding_record(f: audit.AuditFinding) -> dict:
@@ -112,14 +116,15 @@ def _one_verdict(pair: Pair, ell: int, method: str) -> Verdict:
 def _cmd_classify(args) -> int:
     pair = Pair(args.a, args.b)
     if args.method != "all":
-        _emit(_verdict_record(args.a, args.b, _one_verdict(pair, args.ell, args.method)))
+        v = _one_verdict(pair, args.ell, args.method)
+        sys.stdout.write(_verdict_line(args.a, args.b, v) + "\n")
         return EXIT_OK
     methods = [m for m in _METHODS if m != "corollary" or pair.ab_odd]
     verdicts = [_one_verdict(pair, args.ell, m) for m in methods]
     keyed = {(v.good, v.oddly_good, v.evenly_good, v.witness) for v in verdicts}
     agreement = len(keyed) == 1
     for v in verdicts:
-        _emit(_verdict_record(args.a, args.b, v, agreement=agreement))
+        sys.stdout.write(_verdict_line(args.a, args.b, v, agreement) + "\n")
     return EXIT_OK
 
 
@@ -146,7 +151,7 @@ def _enumerate_chunk(task) -> list[str]:
     for ell in range(lo, hi):
         v = oracle.order_oracle_verdict(pair, ell)
         if _keep(v, flt):
-            lines.append(json.dumps(_verdict_record(a, b, v), separators=(",", ":")))
+            lines.append(_verdict_line(a, b, v))
     return lines
 
 

@@ -9,6 +9,13 @@ import math
 
 import pytest
 
+from goodint import arith
+
+# Edge moduli for multiplicative_order: every power of two up to 2**63 and
+# the largest prime below 2**63, with odd residues of both signs.
+EDGE_MODULI = [2**k for k in range(1, 64)] + [2**63 - 25]
+EDGE_RESIDUES = (3, 5, -1, -3, 2**61 - 1, -(2**62 + 1))
+
 
 def order_by_scan(x: int, m: int) -> int:
     """Multiplicative order by stepping powers one at a time."""
@@ -82,3 +89,10 @@ def scan_order():
 @pytest.fixture
 def scan_negation():
     return negation_by_scan
+
+
+@pytest.fixture
+def cold_caches():
+    """Empty arith's memo caches, so a test times or probes uncached work."""
+    for cached in (arith.factorize, arith.carmichael_lambda, arith._prime_power_order):
+        cached.cache_clear()

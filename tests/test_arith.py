@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from goodint import arith
-from conftest import factor_by_trial, negation_by_scan, order_by_scan
+from conftest import (EDGE_MODULI, EDGE_RESIDUES, factor_by_trial, negation_by_scan,
+                      order_by_scan)
 
 
 class TestGcd:
@@ -122,6 +123,23 @@ class TestFactorize:
         got.update(dict(f.odd_part))
         assert got == expected
 
+    def test_trial_division_exit_needs_no_primality_test(self, cold_caches, monkeypatch):
+        # What trial division by the primes below 2**10 leaves of n <= 2**20
+        # is 1 or prime, and a square of a larger prime splits on its root.
+        def refuse(n):
+            raise AssertionError(f"is_prime({n}) called")
+
+        monkeypatch.setattr(arith, "is_prime", refuse)
+        rng = random.Random(1021)
+        sample = [rng.randint(1, 2**20) for _ in range(2000)]
+        sample += list(range(1021**2, 2**20 + 1))
+        sample += [1021 * 1031, 1031**2]
+        for n in sample:
+            f = arith.factorize(n)
+            got = {2: f.beta} if f.beta else {}
+            got.update(f.odd_part)
+            assert got == factor_by_trial(n), n
+
     @given(st.integers(1, 2**63))
     @settings(max_examples=100)
     def test_reconstructs_and_certifies(self, n):
@@ -222,6 +240,16 @@ class TestMultiplicativeOrder:
         for q in set(factor_by_trial(t)):
             assert pow(x, t // q, m) != 1
 
+    @pytest.mark.parametrize("m", EDGE_MODULI)
+    def test_edge_moduli_are_minimal(self, m):
+        for x in EDGE_RESIDUES:
+            t = arith.multiplicative_order(x, m)
+            assert pow(x, t, m) == 1 % m
+            ft = arith.factorize(t)
+            assert math.prod(p**e for p, e in ft.prime_items()) == t
+            for q, _ in ft.prime_items():
+                assert pow(x, t // q, m) != 1 % m
+
     def test_two_power_case_table(self):
         # beta = 1: trivial group; beta >= 2 with x = -1: order exactly 2
         for x in range(1, 20, 2):
@@ -261,12 +289,10 @@ class TestLargeModuliBatch:
     """Factors > 10**6 must go to Pollard rho (or the square split) quickly;
     a long trial-division loop costs ~0.1 s per such modulus and fails here."""
 
-    def test_batch_is_exact_and_fast(self):
+    def test_batch_is_exact_and_fast(self, cold_caches):
         rng = random.Random(20180405)
         cases = [_large_modulus(rng, shape)
                  for _ in range(10) for shape in ("smooth", "prime", "semiprime", "square")]
-        arith.factorize.cache_clear()
-        arith.carmichael_lambda.cache_clear()
         start = time.perf_counter()
         results = [(arith.factorize(n), arith.multiplicative_order(3, n)) for n, _ in cases]
         elapsed = time.perf_counter() - start

@@ -13,6 +13,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from goodint import arith
+from conftest import EDGE_MODULI, EDGE_RESIDUES
 
 sympy = pytest.importorskip("sympy")
 
@@ -63,3 +64,9 @@ def test_is_prime_matches_isprime(n):
 def test_order_matches_n_order(x, m):
     assume(m > 1 and math.gcd(x, m) == 1)
     assert arith.multiplicative_order(x, m) == sympy.n_order(x, m)
+
+
+@pytest.mark.parametrize("m", EDGE_MODULI)
+def test_order_edge_moduli_match_n_order(m):
+    for x in EDGE_RESIDUES:
+        assert arith.multiplicative_order(x, m) == sympy.n_order(x % m, m), x

@@ -140,11 +140,38 @@ class TestWholeOrderVariant:
             lit = classify.is_oddly_good(pair, f.modulus, "literal")
             assert lit.oddly_good != bv.oddly_good
 
+    def test_one_decision_per_instance(self, monkeypatch):
+        # Both variants' findings, from one full decision per variant.
+        pairs = [(a, b) for a in range(1, 10, 2) for b in range(1, 10, 2)
+                 if math.gcd(a, b) == 1]
+        ells = [ell for ell in range(4, 201, 4) if ell >> arith.nu2(ell) >= 3]
+        instances = [(a, b, ell) for a, b in pairs for ell in ells
+                     if math.gcd(a * b, ell) == 1]
+        expected = {v: [] for v in classify.VARIANTS}
+        for a, b, ell in instances:
+            pair = Pair(a, b)
+            truth = oracle.brute_force_verdict(pair, ell).oddly_good
+            for variant in classify.VARIANTS:
+                if classify.is_oddly_good(pair, ell, variant).oddly_good != truth:
+                    expected[variant].append((a, b, ell))
+        decide, calls = classify._decide, []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return decide(*args, **kwargs)
+
+        monkeypatch.setattr(classify, "_decide", counted)
+        got = audit.audit_odd_witness_variants(9, 9, 200)
+        assert len(calls) == len(instances)
+        assert {v: [(f.a, f.b, f.modulus) for f in fs] for v, fs in got.items()} == expected
+        assert expected["literal"]
+
 
 class TestSweepBounds:
     @pytest.mark.parametrize("sweep", [audit.crossval_sweep, audit.audit_odd_witness_variants])
     @pytest.mark.parametrize("bounds", [(1001, 1, 10), (1, 1001, 10), (-1, 1, 10),
-                                        (1, -1, 10), (1, 1, 0), (1, 1, 10**4 + 1)])
+                                        (1, -1, 10), (1, 1, 0), (1, 1, 10**4 + 1),
+                                        (1000, 1000, 10**4), (100, 100, 4000)])
     def test_rejected_before_any_work(self, sweep, bounds, monkeypatch):
         monkeypatch.setattr(oracle, "brute_force_sweep", None)  # any work would fail
         with pytest.raises(ValueError):

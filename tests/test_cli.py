@@ -5,6 +5,11 @@ import sys
 import time
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+
+from goodint import classify, cli, oracle
+from goodint.core import Pair, Verdict
 
 PKG_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -190,6 +195,76 @@ class TestAudit:
         assert time.monotonic() - t0 < 2
         assert proc.returncode == 2 and proc.stdout == ""
 
+    @pytest.mark.parametrize("claim", ["crossval", "thm2-literal"])
+    def test_oversized_sweep_refused(self, claim):
+        # Each bound is in range, but pairs * ell_max**2 is far above 10**9.
+        t0 = time.monotonic()
+        proc = run_cli("audit", "--claim", claim, "--a-max", "1000", "--b-max", "1000",
+                       "--ell-max", "10000", "--jobs", "1", timeout=10)
+        assert time.monotonic() - t0 < 2
+        assert proc.returncode == 2 and proc.stdout == ""
+
     def test_unknown_claim_is_usage_error(self):
         proc = run_cli("audit", "--claim", "eq3")
         assert proc.returncode == 1
+
+
+def verdict_record(a, b, v, agreement=None):
+    """The record dict that json.dumps encoded before the line encoder."""
+    rec = {
+        "schema_version": 1,
+        "kind": "verdict",
+        "ell": v.ell,
+        "a": a,
+        "b": b,
+        "good": v.good,
+        "oddly_good": v.oddly_good,
+        "evenly_good": v.evenly_good,
+        "witness": v.witness,
+        "method": v.method,
+    }
+    if v.s_val2 is not None:
+        rec["s_val2"] = v.s_val2
+    if v.order_claim_ok is not None:
+        rec["order_claim_ok"] = v.order_claim_ok
+    if agreement is not None:
+        rec["agreement"] = agreement
+    return rec
+
+
+def dumps(rec):
+    return json.dumps(rec, separators=(",", ":"))
+
+
+verdicts = st.builds(
+    Verdict,
+    ell=st.integers(1, 2**63),
+    good=st.booleans(),
+    oddly_good=st.booleans(),
+    evenly_good=st.booleans(),
+    witness=st.none() | st.integers(1, 2**62),
+    method=st.sampled_from(("theorem", "corollary", "oracle", "brute_force")),
+    s_val2=st.none() | st.integers(0, 62),
+    order_claim_ok=st.none() | st.booleans(),
+)
+
+
+class TestVerdictLine:
+    @given(st.integers(-2**63, 2**63), st.integers(-2**63, 2**63), verdicts,
+           st.none() | st.booleans())
+    @example(1, -1, Verdict(3, True, True, False, 1, "oracle"), None)
+    @example(-7, 4, Verdict(9, False, False, False, None, "corollary", 0, True), False)
+    def test_matches_json_dumps(self, a, b, v, agreement):
+        assert cli._verdict_line(a, b, v, agreement) == dumps(verdict_record(a, b, v, agreement))
+
+    @pytest.mark.parametrize("a,b", [(1, -1), (-7, 4), (3, 5), (-3, -5)])
+    def test_real_verdicts(self, a, b):
+        pair = Pair(a, b)
+        for ell in range(1, 130):
+            vs = [oracle.order_oracle_verdict(pair, ell), classify.is_good(pair, ell)]
+            if pair.ab_odd:
+                vs.append(classify.is_good_via_sum_valuation(pair, ell))
+            for v in vs:
+                for agreement in (None, True):
+                    line = cli._verdict_line(a, b, v, agreement)
+                    assert line == dumps(verdict_record(a, b, v, agreement))
