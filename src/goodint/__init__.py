@@ -11,7 +11,6 @@ JSON-lines CLI.
 from .arith import (
     Factorization,
     NotInvertibleError,
-    OrderProfile,
     carmichael_lambda,
     factorize,
     gcd,
@@ -20,7 +19,6 @@ from .arith import (
     mod_pow,
     multiplicative_order,
     nu2,
-    order_via_crt,
     smallest_negation_exponent,
 )
 from .audit import (
@@ -50,7 +48,6 @@ __all__ = [
     "AuditFinding",
     "Factorization",
     "NotInvertibleError",
-    "OrderProfile",
     "Pair",
     "Verdict",
     "audit_negation_from_even_order",
@@ -76,7 +73,6 @@ __all__ = [
     "nu2",
     "odd_good_criterion",
     "order_oracle_verdict",
-    "order_via_crt",
     "power_of_two_equivalence",
     "smallest_negation_exponent",
     "__version__",

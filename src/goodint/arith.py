@@ -68,19 +68,6 @@ class Factorization:
         return tuple(p**e for p, e in self.prime_items())
 
 
-@dataclass(frozen=True)
-class OrderProfile:
-    """Multiplicative order of x mod m with its per-prime-power components.
-
-    order equals lcm of all component orders; x is canonical in [0, m).
-    """
-
-    x: int
-    modulus: int
-    order: int
-    components: tuple[tuple[int, int], ...]
-
-
 def gcd(a: int, b: int) -> int:
     """Non-negative gcd; gcd(0, 0) is rejected."""
     if a == 0 and b == 0:
@@ -261,24 +248,13 @@ def multiplicative_order(x: int, m: int) -> int:
     if m < 1:
         raise ValueError(f"modulus must be positive, got {m}")
     x %= m
-    if m <= 2:
-        return 1
     g = math.gcd(x, m)
     if g != 1:
         raise ValueError(f"order undefined: gcd({x}, {m}) = {g}")
+    if m <= 2:
+        return 1
     return math.lcm(*[_prime_power_order(x % pp, pp)
                       for pp in factorize(m).prime_powers()])
-
-
-def order_via_crt(x: int, f: Factorization) -> OrderProfile:
-    """Order of x mod f.n assembled as the lcm of per-prime-power orders."""
-    m = f.n
-    x0 = x % m
-    if math.gcd(x0, m) != 1:
-        raise ValueError(f"order undefined: gcd({x0}, {m}) > 1")
-    comps = tuple((pp, _prime_power_order(x0 % pp, pp)) for pp in f.prime_powers())
-    order = math.lcm(*(t for _, t in comps))
-    return OrderProfile(x=x0, modulus=m, order=order, components=comps)
 
 
 def smallest_negation_exponent(x: int, m: int) -> int | None:

@@ -2,10 +2,11 @@
 
 Each audit pits a plausible-looking implication, evaluated exactly as
 printed, against ground truth and emits a structured finding wherever the
-two part ways.  Two of the claims are false in general and the scans
-exhibit the smallest refuting instances; the cross-validation sweep runs
-the case-analysis classifiers against the definitional oracle and is
-expected to stay silent.
+two part ways.  The three printed claims (Jitman's two order implications
+and Theorem 2's whole-modulus odd-witness condition) are false in general
+and the scans exhibit the smallest refuting instances; the
+cross-validation sweep runs the case-analysis classifiers against the
+definitional oracle and is expected to stay silent.
 """
 
 from __future__ import annotations
@@ -99,22 +100,20 @@ def _pow_mod_vec(base: np.ndarray, exp: np.ndarray, mod: int) -> np.ndarray:
 # Claim: order 2 mod 2**beta forces x = -1 (mod 2**beta).
 # ---------------------------------------------------------------------------
 
-def audit_order2_congruence(beta_max: int, x_max: int | None = None) -> list[AuditFinding]:
+def audit_order2_congruence(beta_max: int) -> list[AuditFinding]:
     """Scan odd residues of order 2 mod 2**beta for beta = 1..beta_max.
 
     The audited implication concludes x = -1 (mod 2**beta) from the premise
-    Ord(x) = 2.  Every premise-satisfying residue below min(2**beta, x_max)
-    yields one finding; literal_verdict is the conclusion, oracle_verdict
-    the (always verified) premise, so discrepancies are exactly the
-    counterexamples.
+    Ord(x) = 2.  Every premise-satisfying residue below 2**beta yields one
+    finding; literal_verdict is the conclusion, oracle_verdict the (always
+    verified) premise, so discrepancies are exactly the counterexamples.
     """
     if not 1 <= beta_max <= 20:
         raise ValueError(f"beta_max must be in 1..20, got {beta_max}")
     findings = []
     for beta in range(1, beta_max + 1):
         m = 1 << beta
-        top = m if x_max is None else min(m, x_max)
-        for x in range(1, top, 2):
+        for x in range(1, m, 2):
             if x != 1 and x * x % m == 1:
                 premise = arith.multiplicative_order(x, m) == 2
                 literal = x == m - 1
@@ -181,25 +180,41 @@ def _odd_witness_pairs(a_max: int, b_max: int) -> list[tuple[int, int]]:
     ]
 
 
-def _odd_witness_pair_findings(task) -> list[AuditFinding]:
+def _literal_oddly_good(pair: Pair, f: arith.Factorization, oddly: bool) -> bool:
+    """Theorem 2's printed oddly-good condition at ell = f.n, given the true bit.
+
+    The two differ only when beta >= 2 and d > 1, where the printed reading
+    asks for x = -1 (mod 2**beta) and 2 || Ord_d(x) for the whole odd part d
+    instead of per prime.  Requires gcd(ab, ell) = 1.
+    """
+    beta, d = f.beta, f.odd_value
+    if beta < 2 or d == 1:
+        return oddly
+    m = 1 << beta
+    return (pair.residue(m) == m - 1
+            and arith.nu2(arith.multiplicative_order(pair.residue(d), d)) == 1)
+
+
+def _odd_witness_pair_findings(task) -> tuple[list[AuditFinding], list[AuditFinding]]:
+    """The literal and the per_prime findings of one pair, in ell order."""
     a, b, ells, ell_max = task
     pair = Pair(a, b)
     sweep = oracle.brute_force_sweep(pair, ell_max)
-    out = []
+    literal, per_prime = [], []
     for ell in ells:
         if math.gcd(a * b, ell) != 1:
             continue
         truth = sweep[ell - 1].oddly_good
-        # One decision per ell: the literal variant differs only in this bit.
-        per_prime = classify.is_oddly_good(pair, ell).oddly_good
-        literal = classify._literal_oddly_good(pair, arith.factorize(ell), per_prime)
-        for variant, bit in (("literal", literal), ("per_prime", per_prime)):
-            if bit != truth:
-                claim = (CLAIM_WHOLE_ORDER_VARIANT if variant == "literal"
-                         else CLAIM_CUSTOM)
-                out.append(_finding(claim, a, b, ell, pair.residue(ell),
-                                    bit, truth, note=f"variant={variant}"))
-    return out
+        # One decision per ell: the literal reading differs only in this bit.
+        per = classify.is_oddly_good(pair, ell).oddly_good
+        lit = _literal_oddly_good(pair, arith.factorize(ell), per)
+        if lit != truth:
+            literal.append(_finding(CLAIM_WHOLE_ORDER_VARIANT, a, b, ell,
+                                    pair.residue(ell), lit, truth, note="variant=literal"))
+        if per != truth:
+            per_prime.append(_finding(CLAIM_CUSTOM, a, b, ell, pair.residue(ell),
+                                      per, truth, note="variant=per_prime"))
+    return literal, per_prime
 
 
 # Largest accepted pair sweep, in pairs * ell_max**2: the brute-force scan
@@ -228,24 +243,23 @@ def _check_sweep_bounds(a_max: int, b_max: int, ell_max: int, pairs_for) -> list
 
 def audit_odd_witness_variants(a_max: int, b_max: int, ell_max: int,
                                jobs: int | None = None) -> dict[str, list[AuditFinding]]:
-    """Both odd-witness decision variants vs. the definitional oracle.
+    """The printed and the per-prime odd-witness condition vs. the definitional oracle.
 
     Sweeps every ordered coprime odd pair (a <= a_max, b <= b_max) and every
     ell = 2**beta * d <= ell_max with beta >= 2, d >= 3 coprime to ab, and
-    returns discrepancies grouped per variant.  The per_prime list is
-    expected to stay empty; the literal list documents where the printed
-    whole-modulus condition diverges.  Bounds: a_max, b_max in 0..10**3,
+    returns discrepancies under "literal" (Theorem 2's printed whole-modulus
+    condition, documenting where it diverges) and "per_prime" (the decider
+    is_oddly_good, expected to stay empty).  Bounds: a_max, b_max in 0..10**3,
     ell_max in 1..10**4, and pairs * ell_max**2 <= 10**9.
     """
     pairs = _check_sweep_bounds(a_max, b_max, ell_max, _odd_witness_pairs)
     # The moduli 2**beta * d with beta >= 2 and d >= 3.
     ells = [ell for ell in range(4, ell_max + 1, 4) if (ell >> arith.nu2(ell)) >= 3]
     tasks = [(a, b, ells, ell_max) for a, b in pairs]
-    grouped: dict[str, list[AuditFinding]] = {v: [] for v in classify.VARIANTS}
-    for chunk in parallel_map(_odd_witness_pair_findings, tasks, jobs or 1):
-        for finding in chunk:
-            variant = finding.note.split("=", 1)[1]
-            grouped[variant].append(finding)
+    grouped: dict[str, list[AuditFinding]] = {"literal": [], "per_prime": []}
+    for literal, per_prime in parallel_map(_odd_witness_pair_findings, tasks, jobs or 1):
+        grouped["literal"].extend(literal)
+        grouped["per_prime"].extend(per_prime)
     return grouped
 
 

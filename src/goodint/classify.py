@@ -9,11 +9,10 @@ beta >= 2, and s == 1 (or d == 1) is exactly what makes a witness odd.  A
 good ell costs one more order, t = Ord_ell(x), whose half is the smallest
 witness; the deciders never consult the order oracle.
 
-`is_oddly_good` exists in two variants because the whole-modulus order
-condition ("literal") and the per-prime condition ("per_prime") genuinely
-differ on composite odd parts; the per_prime variant is the one that
-matches the oracles, and the audit module surfaces where the literal one
-does not.
+Only this table decides here.  The printed form of Theorem 2, which asks
+for 2 || Ord_d(x) over the whole odd part d instead of per prime, differs
+from it on composite odd parts; audit keeps that printed condition beside
+the other printed claims and shows where it fails.
 """
 
 from __future__ import annotations
@@ -23,8 +22,6 @@ from dataclasses import replace
 
 from . import arith, oracle
 from .core import Pair, Verdict
-
-VARIANTS = ("literal", "per_prime")
 
 
 def _require_odd_pair(pair: Pair) -> None:
@@ -40,16 +37,10 @@ def _require_odd_cofactor(pair: Pair, d: int) -> None:
         raise ValueError(f"d must be coprime to ab, gcd = {g}")
 
 
-def order_val2s(pair: Pair, primes) -> tuple[int, ...]:
-    """2-adic valuation of the order of a*b**-1 mod p, per prime p."""
-    return tuple(
-        arith.nu2(arith.multiplicative_order(pair.residue(p), p)) for p in primes
-    )
-
-
 def common_order_val2(pair: Pair, d: int) -> int | None:
     """The shared valuation s when every prime p | d has 2**s || Ord_p, else None."""
-    vals = set(order_val2s(pair, (p for p, _ in arith.factorize(d).odd_part)))
+    vals = {arith.nu2(arith.multiplicative_order(pair.residue(p), p))
+            for p, _ in arith.factorize(d).odd_part}
     return vals.pop() if len(vals) == 1 else None
 
 
@@ -82,24 +73,20 @@ def odd_good_criterion(pair: Pair, d: int) -> bool:
     True iff some s >= 1 has 2**s || Ord_p(a*b**-1) for every prime p | d.
     """
     _require_odd_cofactor(pair, d)
-    s = common_order_val2(pair, d)
-    return s is not None and s >= 1
+    return _decide(pair, d, "theorem").good
 
 
 def even_ell_good_criterion(pair: Pair, d: int, beta: int) -> bool:
     """Membership test for ell = 2**beta * d with beta >= 2 and odd d > 1.
 
     True iff a*b**-1 = -1 (mod 2**beta) and 2 || Ord_p(a*b**-1) for every
-    prime p | d.
+    prime p | d.  ell itself must not exceed 2**63, the factorization bound.
     """
     _require_odd_pair(pair)
     _require_odd_cofactor(pair, d)
     if not 2 <= beta <= 62:
         raise ValueError(f"beta must be in 2..62, got {beta}")
-    m = 1 << beta
-    if pair.residue(m) != m - 1:
-        return False
-    return common_order_val2(pair, d) == 1
+    return _decide(pair, (1 << beta) * d, "theorem").good
 
 
 def doubling_verdicts(pair: Pair, d: int) -> tuple[bool, bool]:
@@ -112,30 +99,12 @@ def doubling_verdicts(pair: Pair, d: int) -> tuple[bool, bool]:
     )
 
 
-def _literal_oddly_good(pair: Pair, f: arith.Factorization, oddly: bool) -> bool:
-    """The literal variant's oddly_good bit at ell = f.n, given the per-prime one.
-
-    The two differ only when beta >= 2 and d > 1, where the literal reading
-    asks for x = -1 (mod 2**beta) and 2 || Ord_d(x) for the whole odd part d.
-    Requires gcd(ab, ell) = 1.
-    """
-    beta, d = f.beta, f.odd_value
-    if beta < 2 or d == 1:
-        return oddly
-    m = 1 << beta
-    return (pair.residue(m) == m - 1
-            and arith.nu2(arith.multiplicative_order(pair.residue(d), d)) == 1)
-
-
-def _decide(pair: Pair, ell: int, method: str, variant: str = "per_prime") -> Verdict:
+def _decide(pair: Pair, ell: int, method: str) -> Verdict:
     """The membership table; method picks the 2-part test (theorem or corollary).
 
     The corollary verdict also reports s (s_val2) and, when good, whether
-    nu2(Ord_ell(x)) == s (order_claim_ok).  variant="literal" replaces only
-    the oddly_good bit by nu2(Ord_d(x)) == 1 when beta >= 2 and d > 1.
+    nu2(Ord_ell(x)) == s (order_claim_ok).
     """
-    if variant not in VARIANTS:
-        raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
     corollary = method == "corollary"
     if corollary:
         _require_odd_pair(pair)
@@ -162,10 +131,7 @@ def _decide(pair: Pair, ell: int, method: str, variant: str = "per_prime") -> Ve
         witness = t // 2
         if corollary and d > 1:
             claim_ok = arith.nu2(t) == s
-    evenly = good and not oddly
-    if variant == "literal":
-        oddly = _literal_oddly_good(pair, f, oddly)
-    return Verdict(ell, good, oddly, evenly, witness, method,
+    return Verdict(ell, good, oddly, good and not oddly, witness, method,
                    s if corollary else None, claim_ok)
 
 
@@ -174,17 +140,14 @@ def is_good(pair: Pair, ell: int) -> Verdict:
     return _decide(pair, ell, "theorem")
 
 
-def is_oddly_good(pair: Pair, ell: int, variant: str = "per_prime") -> Verdict:
-    """Case-analysis decision for odd witnesses.
+def is_oddly_good(pair: Pair, ell: int) -> Verdict:
+    """Case-analysis decision for odd witnesses, read from its oddly_good bit.
 
-    variant selects the condition used when beta >= 2 and d >= 3: "literal"
-    requires 2 || Ord_d(a*b**-1) for the whole odd part d, "per_prime"
-    requires 2 || Ord_p(a*b**-1) for every prime p | d.  Elsewhere the two
-    coincide.  Only the oddly_good bit depends on the variant: good,
-    evenly_good and the witness always come from the per-prime table, so a
-    refuted literal decision shows up as oddly_good set on a bad ell.
+    When beta >= 2 and d >= 3 the odd part needs 2 || Ord_p(a*b**-1) for
+    every prime p | d; the whole-modulus reading, 2 || Ord_d(a*b**-1), is
+    audited in audit._literal_oddly_good.
     """
-    return _decide(pair, ell, "theorem", variant)
+    return _decide(pair, ell, "theorem")
 
 
 def is_good_via_sum_valuation(pair: Pair, ell: int) -> Verdict:

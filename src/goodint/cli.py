@@ -22,6 +22,9 @@ from .core import Pair, Verdict, parallel_map
 
 SCHEMA_VERSION = 1
 ENUM_LIMIT = 10**8
+# classify runs brute force, a scan of up to 2*ell exponents, only up to
+# this modulus: at most 2*10**6 steps, a fraction of a second.
+BRUTE_FORCE_LIMIT = 10**6
 _CHUNK = 1024
 
 EXIT_OK = 0
@@ -87,12 +90,6 @@ def _finding_record(f: audit.AuditFinding) -> dict:
 def _resolve_jobs(flag: int | None) -> int:
     if flag is not None:
         return max(1, flag)
-    env = os.environ.get("GOODINT_JOBS")
-    if env is not None:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ValueError(f"GOODINT_JOBS must be an integer, got {env!r}")
     return os.cpu_count() or 1
 
 
@@ -115,11 +112,16 @@ def _one_verdict(pair: Pair, ell: int, method: str) -> Verdict:
 
 def _cmd_classify(args) -> int:
     pair = Pair(args.a, args.b)
+    brute_ok = args.ell <= BRUTE_FORCE_LIMIT
+    if args.method == "brute" and not brute_ok:
+        raise ValueError(f"brute force runs only for ell <= {BRUTE_FORCE_LIMIT}, "
+                         f"got {args.ell}")
     if args.method != "all":
         v = _one_verdict(pair, args.ell, args.method)
         sys.stdout.write(_verdict_line(args.a, args.b, v) + "\n")
         return EXIT_OK
-    methods = [m for m in _METHODS if m != "corollary" or pair.ab_odd]
+    methods = [m for m in _METHODS
+               if (m != "corollary" or pair.ab_odd) and (m != "brute" or brute_ok)]
     verdicts = [_one_verdict(pair, args.ell, m) for m in methods]
     keyed = {(v.good, v.oddly_good, v.evenly_good, v.witness) for v in verdicts}
     agreement = len(keyed) == 1
@@ -177,14 +179,16 @@ def _cmd_enumerate(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_order(args) -> int:
-    profile = arith.order_via_crt(args.x, arith.factorize(args.mod))
+    x, m = args.x, args.mod
+    order = arith.multiplicative_order(x, m)
     _emit({
         "schema_version": SCHEMA_VERSION,
         "kind": "order",
-        "x": profile.x,
-        "modulus": profile.modulus,
-        "order": profile.order,
-        "components": [list(c) for c in profile.components],
+        "x": x % m,
+        "modulus": m,
+        "order": order,
+        "components": [[pp, arith.multiplicative_order(x, pp)]
+                       for pp in arith.factorize(m).prime_powers()],
     })
     return EXIT_OK
 
@@ -196,8 +200,7 @@ def _cmd_order(args) -> int:
 def _cmd_audit(args) -> int:
     jobs = _resolve_jobs(args.jobs)
     if args.claim == "jitman-eq1":
-        findings = audit.audit_order2_congruence(args.beta, args.x_max)
-        for f in findings:
+        for f in audit.audit_order2_congruence(args.beta):
             _emit(_finding_record(f))
         return EXIT_OK
     if args.claim == "jitman-eq2":
@@ -239,7 +242,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--filter", choices=("good", "oddly", "evenly", "bad", "all"),
                    default="all")
     p.add_argument("--jobs", type=int, default=None,
-                   help="worker processes (default: GOODINT_JOBS or CPU count)")
+                   help="worker processes (default: CPU count)")
     p.set_defaults(fn=_cmd_enumerate)
 
     p = sub.add_parser("order", help="multiplicative order with its components")
@@ -251,7 +254,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--claim", required=True,
                    choices=("jitman-eq1", "jitman-eq2", "thm2-literal", "crossval"))
     p.add_argument("--beta", type=int, default=8, help="jitman-eq1: max power of two")
-    p.add_argument("--x-max", type=int, default=None, help="jitman-eq1: residue cap")
     p.add_argument("--d-max", type=int, default=100, help="jitman-eq2: max odd modulus")
     p.add_argument("--a-max", type=int, default=25)
     p.add_argument("--b-max", type=int, default=25)

@@ -19,9 +19,9 @@ from .core import Pair, Verdict
 def order_oracle_verdict(pair: Pair, ell: int) -> Verdict:
     """Exact verdict from the order of x = a*b**-1 mod ell.
 
-    ell | a**k + b**k iff x**k = -1 (mod ell).  For ell > 2 that happens
-    iff the order t of x is even and x**(t/2) = -1; every witness is then
-    congruent to t/2 mod t, so the parity of t/2 settles oddly/evenly.
+    ell | a**k + b**k iff x**k = -1 (mod ell).  For ell > 2 every witness
+    is congruent mod the order of x to the smallest one,
+    arith.smallest_negation_exponent, whose parity settles oddly/evenly.
     """
     if ell < 1:
         raise ValueError(f"ell must be positive, got {ell}")
@@ -34,43 +34,29 @@ def order_oracle_verdict(pair: Pair, ell: int) -> Verdict:
     if math.gcd(pair.a * pair.b, ell) != 1:
         # A shared prime would have to divide both a and b.
         return Verdict(ell, False, False, False, None, "oracle")
-    x = pair.residue(ell)
-    t = arith.multiplicative_order(x, ell)
-    if t % 2 == 0 and pow(x, t // 2, ell) == ell - 1:
-        k = t // 2
-        return Verdict(ell, True, k % 2 == 1, k % 2 == 0, k, "oracle")
-    return Verdict(ell, False, False, False, None, "oracle")
+    k = arith.smallest_negation_exponent(pair.residue(ell), ell)
+    if k is None:
+        return Verdict(ell, False, False, False, None, "oracle")
+    return Verdict(ell, True, k % 2 == 1, k % 2 == 0, k, "oracle")
 
 
-def default_scan_bound(pair: Pair, ell: int) -> int:
-    """Exponent bound making the definitional scan total.
-
-    When gcd(ab, ell) = 1 the residue sequence a**k + b**k mod ell is purely
-    periodic with period dividing lambda(ell); twice that covers both
-    parities of k.  Otherwise fall back to 2*ell, a safe overestimate.
-    """
-    if math.gcd(pair.a * pair.b, ell) == 1:
-        return 2 * arith.carmichael_lambda(ell)
-    return 2 * ell
-
-
-def brute_force_verdict(pair: Pair, ell: int, k_max: int | None = None) -> Verdict:
-    """Definitional verdict: scan k = 1..k_max for ell | a**k + b**k.
+def brute_force_verdict(pair: Pair, ell: int) -> Verdict:
+    """Definitional verdict: scan k = 1..2*ell for ell | a**k + b**k.
 
     Records the smallest witness overall and the smallest odd and even
-    witnesses, updating running powers incrementally.
+    witnesses, updating running powers incrementally.  The scan stops early
+    once both parities are found, or at the first even k with
+    a**k = b**k = 1 (mod ell): from there the pair of powers repeats with an
+    even period, so no new witness or parity can appear.  That k is at most
+    2*lambda(ell) <= 2*ell, so the bound only matters when gcd(ab, ell) > 1.
     """
     if ell < 1:
         raise ValueError(f"ell must be positive, got {ell}")
-    if k_max is None:
-        k_max = default_scan_bound(pair, ell)
-    if k_max < 1:
-        raise ValueError(f"k_max must be positive, got {k_max}")
     a = pair.a % ell
     b = pair.b % ell
     pa, pb = a, b
     w_odd = w_even = 0
-    for k in range(1, k_max + 1):
+    for k in range(1, 2 * ell + 1):
         if (pa + pb) % ell == 0:
             if k & 1:
                 if not w_odd:
@@ -79,6 +65,8 @@ def brute_force_verdict(pair: Pair, ell: int, k_max: int | None = None) -> Verdi
                 w_even = k
             if w_odd and w_even:
                 break
+        elif pa == pb == 1 and not k & 1:
+            break
         pa = pa * a % ell
         pb = pb * b % ell
     witness = min(w for w in (w_odd, w_even) if w) if (w_odd or w_even) else None
@@ -95,10 +83,10 @@ def brute_force_verdict(pair: Pair, ell: int, k_max: int | None = None) -> Verdi
 def brute_force_sweep(pair: Pair, ell_max: int) -> list[Verdict]:
     """brute_force_verdict for every ell in 1..ell_max, vectorized.
 
-    One shared scan to k = 2*ell_max covers every per-ell default bound
-    (2*lambda(ell) <= 2*(ell-1) for coprime ell, 2*ell otherwise); scanning
-    past a modulus' own bound cannot change its verdict because the witness
-    set is periodic.  Intermediate products must fit in int64, which holds
+    One shared scan to k = 2*ell_max covers the scan of every modulus (to
+    k = 2*ell at most, as in brute_force_verdict); scanning past a modulus'
+    own bound cannot change its verdict because the witness set is
+    periodic.  Intermediate products must fit in int64, which holds
     for ell_max < 2**31.
     """
     if ell_max < 0:

@@ -269,14 +269,11 @@ def test_criterion_09_odd_witness_variant_audit():
 
 def test_criterion_10_enumeration_is_parallelism_invariant():
     """Byte-identical enumerate output for jobs = 1 and jobs = 4."""
-    env = dict(os.environ)
-    env.pop("GOODINT_JOBS", None)
-
     def run(a, b, jobs):
         return subprocess.run(
             [sys.executable, "-m", "goodint", "enumerate", "--a", str(a),
              "--b", str(b), "--max", "2000", "--jobs", str(jobs)],
-            capture_output=True, env=env, cwd=PKG_ROOT, check=True,
+            capture_output=True, cwd=PKG_ROOT, check=True,
         ).stdout
 
     ok = True

@@ -221,6 +221,8 @@ class TestMultiplicativeOrder:
     def test_non_coprime_rejected(self):
         with pytest.raises(ValueError):
             arith.multiplicative_order(6, 9)
+        with pytest.raises(ValueError):
+            arith.multiplicative_order(4, 2)
 
     @given(st.integers(1, 10**4), st.integers(1, 10**4))
     @settings(max_examples=400)
@@ -310,36 +312,15 @@ class TestLargeModuliBatch:
 
 
 class TestOrderViaCrt:
-    def test_mod_12(self):
-        prof = arith.order_via_crt(7, arith.factorize(12))
-        assert prof.order == 2
-        assert prof.components == ((4, 2), (3, 1))
-
-    def test_identity(self):
-        assert arith.order_via_crt(1, arith.factorize(360)).order == 1
-
-    def test_mod_120(self):
-        prof = arith.order_via_crt(11, arith.factorize(120))
-        assert prof.order == 2
-        assert prof.components == ((8, 2), (3, 2), (5, 1))
-
-    def test_non_coprime_rejected(self):
-        with pytest.raises(ValueError):
-            arith.order_via_crt(10, arith.factorize(15))
+    """The order mod m is the lcm of the orders mod its maximal prime powers."""
 
     @given(st.integers(1, 10**5), st.integers(1, 10**5))
     @settings(max_examples=300)
     def test_agrees_with_direct_order(self, x, m):
         if math.gcd(x, m) != 1:
             return
-        prof = arith.order_via_crt(x, arith.factorize(m))
-        assert prof.order == arith.multiplicative_order(x, m)
-        assert prof.modulus == m and prof.x == x % m
-        acc = 1
-        for pp, t in prof.components:
-            assert t == arith.multiplicative_order(x % pp, pp)
-            acc = math.lcm(acc, t)
-        assert acc == prof.order
+        parts = [arith.multiplicative_order(x, pp) for pp in arith.factorize(m).prime_powers()]
+        assert math.lcm(*parts) == arith.multiplicative_order(x, m)
 
 
 class TestSmallestNegationExponent:

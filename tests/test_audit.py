@@ -36,7 +36,7 @@ class TestOrderTables:
 
 class TestOrder2Congruence:
     def test_contains_the_mod8_counterexample(self):
-        findings = audit.audit_order2_congruence(3, 16)
+        findings = audit.audit_order2_congruence(3)
         hits = {(f.modulus, f.x): f for f in findings}
         ce = hits[(8, 3)]
         assert ce.discrepancy and not ce.literal_verdict and ce.oracle_verdict
@@ -44,7 +44,7 @@ class TestOrder2Congruence:
         assert arith.multiplicative_order(3, 8) == 2
 
     def test_minus_one_itself_holds(self):
-        findings = audit.audit_order2_congruence(3, 16)
+        findings = audit.audit_order2_congruence(3)
         ok = [f for f in findings if f.modulus == 8 and f.x == 7]
         assert len(ok) == 1 and not ok[0].discrepancy
 
@@ -137,22 +137,25 @@ class TestWholeOrderVariant:
         for f in audit.audit_odd_witness_variants(15, 15, 200)["literal"]:
             pair = Pair(f.a, f.b)
             bv = oracle.brute_force_verdict(pair, f.modulus)
-            lit = classify.is_oddly_good(pair, f.modulus, "literal")
-            assert lit.oddly_good != bv.oddly_good
+            per = classify.is_oddly_good(pair, f.modulus).oddly_good
+            lit = audit._literal_oddly_good(pair, arith.factorize(f.modulus), per)
+            assert lit != bv.oddly_good
 
     def test_one_decision_per_instance(self, monkeypatch):
-        # Both variants' findings, from one full decision per variant.
+        # Both finding lists, rebuilt one instance at a time.
         pairs = [(a, b) for a in range(1, 10, 2) for b in range(1, 10, 2)
                  if math.gcd(a, b) == 1]
         ells = [ell for ell in range(4, 201, 4) if ell >> arith.nu2(ell) >= 3]
         instances = [(a, b, ell) for a, b in pairs for ell in ells
                      if math.gcd(a * b, ell) == 1]
-        expected = {v: [] for v in classify.VARIANTS}
+        expected = {"literal": [], "per_prime": []}
         for a, b, ell in instances:
             pair = Pair(a, b)
             truth = oracle.brute_force_verdict(pair, ell).oddly_good
-            for variant in classify.VARIANTS:
-                if classify.is_oddly_good(pair, ell, variant).oddly_good != truth:
+            per = classify.is_oddly_good(pair, ell).oddly_good
+            lit = audit._literal_oddly_good(pair, arith.factorize(ell), per)
+            for variant, bit in (("literal", lit), ("per_prime", per)):
+                if bit != truth:
                     expected[variant].append((a, b, ell))
         decide, calls = classify._decide, []
 

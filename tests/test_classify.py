@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from goodint import arith, classify, oracle
+from goodint import arith, audit, classify, oracle
 from goodint.core import Pair
 
 odd_coprime_pairs = st.tuples(
@@ -163,22 +163,18 @@ class TestIsOddlyGood:
         assert v.oddly_good and v.witness == 1
 
     def test_literal_variant_differs_at_19_1_60(self):
-        lit = classify.is_oddly_good(Pair(19, 1), 60, "literal")
-        per = classify.is_oddly_good(Pair(19, 1), 60, "per_prime")
+        per = classify.is_oddly_good(Pair(19, 1), 60)
+        lit = audit._literal_oddly_good(Pair(19, 1), arith.factorize(60), per.oddly_good)
         truth = oracle.brute_force_verdict(Pair(19, 1), 60)
-        assert lit.oddly_good is True
+        assert lit is True
         assert per.oddly_good is False
         assert truth.oddly_good is False and not truth.good
-
-    def test_rejects_unknown_variant(self):
-        with pytest.raises(ValueError):
-            classify.is_oddly_good(Pair(1, 2), 5, "both")
 
     @given(any_coprime_pairs, st.integers(1, 1200))
     @settings(max_examples=300, deadline=None)
     def test_per_prime_matches_brute_force(self, ab, ell):
         pair = Pair(*ab)
-        tv = classify.is_oddly_good(pair, ell, "per_prime")
+        tv = classify.is_oddly_good(pair, ell)
         bv = oracle.brute_force_verdict(pair, ell)
         assert tv.oddly_good == bv.oddly_good
         assert tv.flags() == bv.flags()
@@ -191,9 +187,8 @@ class TestIsOddlyGood:
         if f.beta >= 2 and len(f.odd_part) >= 1 and f.odd_value > 1:
             return
         pair = Pair(*ab)
-        lit = classify.is_oddly_good(pair, ell, "literal")
-        per = classify.is_oddly_good(pair, ell, "per_prime")
-        assert lit == per
+        per = classify.is_oddly_good(pair, ell).oddly_good
+        assert audit._literal_oddly_good(pair, f, per) == per
 
 
 class TestSumValuationDeciders:
@@ -238,7 +233,7 @@ class TestSumValuationDeciders:
     def test_oddly_agrees_with_per_prime(self, ab, ell):
         pair = Pair(*ab)
         c = classify.is_oddly_good_via_sum_valuation(pair, ell)
-        t = classify.is_oddly_good(pair, ell, "per_prime")
+        t = classify.is_oddly_good(pair, ell)
         assert c.flags() == t.flags() and c.witness == t.witness
 
     @given(odd_coprime_pairs, st.integers(1, 600))
@@ -280,17 +275,11 @@ class TestSingleTable:
             pair = Pair(a, b)
             assert classify.is_good(pair, ell).method == "theorem"
             assert classify.is_oddly_good(pair, ell).method == "theorem"
-            assert classify.is_oddly_good(pair, ell, "literal").method == "theorem"
             if pair.ab_odd:
                 assert classify.is_good_via_sum_valuation(pair, ell).method == "corollary"
                 assert classify.is_oddly_good_via_sum_valuation(pair, ell).method == "corollary"
         assert classify.is_good(Pair(1, 2), 5).witness == 2
         assert classify.is_good(Pair(11, 1), 12).witness == 1
-
-    def test_literal_reports_true_membership(self):
-        v = classify.is_oddly_good(Pair(19, 1), 60, "literal")
-        assert v.oddly_good is True
-        assert not v.good and not v.evenly_good and v.witness is None
 
     @given(any_coprime_pairs, st.integers(1, 1200))
     @settings(max_examples=300, deadline=None)

@@ -14,14 +14,10 @@ from goodint.core import Pair, Verdict
 PKG_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def run_cli(*args, env_extra=None, timeout=None):
-    env = dict(os.environ)
-    env.pop("GOODINT_JOBS", None)
-    if env_extra:
-        env.update(env_extra)
+def run_cli(*args, timeout=None):
     return subprocess.run(
         [sys.executable, "-m", "goodint", *args],
-        capture_output=True, text=True, env=env, cwd=PKG_ROOT, timeout=timeout,
+        capture_output=True, text=True, cwd=PKG_ROOT, timeout=timeout,
     )
 
 
@@ -72,6 +68,30 @@ class TestClassify:
         proc = run_cli("classify", "--a", "1", "--b", "2")
         assert proc.returncode == 1
 
+    def test_brute_force_left_out_above_its_limit(self):
+        t0 = time.monotonic()
+        proc = run_cli("classify", "--a", "3", "--b", "5", "--ell", "1000000007", timeout=10)
+        assert time.monotonic() - t0 < 2
+        assert proc.returncode == 0
+        recs = records(proc)
+        assert [r["method"] for r in recs] == ["theorem", "corollary", "oracle"]
+        assert all(r["agreement"] is True for r in recs)
+
+    def test_brute_force_refused_above_its_limit(self):
+        t0 = time.monotonic()
+        proc = run_cli("classify", "--a", "3", "--b", "5", "--ell", "1000000007",
+                       "--method", "brute", timeout=10)
+        assert time.monotonic() - t0 < 2
+        assert proc.returncode == 2 and proc.stdout == ""
+
+    def test_brute_force_runs_at_its_limit(self):
+        ell = str(cli.BRUTE_FORCE_LIMIT)
+        proc = run_cli("classify", "--a", "3", "--b", "5", "--ell", ell, timeout=60)
+        assert proc.returncode == 0
+        recs = records(proc)
+        assert [r["method"] for r in recs] == ["theorem", "corollary", "oracle", "brute_force"]
+        assert all(r["agreement"] is True for r in recs)
+
 
 class TestEnumerate:
     def test_good_filter(self):
@@ -101,20 +121,12 @@ class TestEnumerate:
         assert one.returncode == four.returncode == 0
         assert one.stdout == four.stdout
 
-    def test_jobs_env_fallback(self):
-        via_env = run_cli("enumerate", "--a", "1", "--b", "2", "--max", "1500",
-                          env_extra={"GOODINT_JOBS": "3"})
-        plain = run_cli("enumerate", "--a", "1", "--b", "2", "--max", "1500", "--jobs", "1")
-        assert via_env.stdout == plain.stdout
-
     def test_closed_stdout_stops_workers(self):
-        env = dict(os.environ)
-        env.pop("GOODINT_JOBS", None)
         t0 = time.monotonic()
         proc = subprocess.Popen(
             [sys.executable, "-m", "goodint", "enumerate", "--a", "1", "--b", "2",
              "--max", "600000", "--jobs", "2"],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, cwd=PKG_ROOT,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, cwd=PKG_ROOT,
         )
         assert len(proc.stdout.read(100)) == 100
         proc.stdout.close()
@@ -122,11 +134,6 @@ class TestEnumerate:
         assert proc.wait(timeout=5) == 0
         assert time.monotonic() - t0 < 5
         assert err == b""
-
-    def test_bad_env_is_a_precondition_error(self):
-        proc = run_cli("enumerate", "--a", "1", "--b", "2", "--max", "5",
-                       env_extra={"GOODINT_JOBS": "many"})
-        assert proc.returncode == 2
 
 
 class TestOrder:
@@ -138,6 +145,13 @@ class TestOrder:
     def test_identity(self):
         (rec,) = records(run_cli("order", "--x", "1", "--mod", "97"))
         assert rec["order"] == 1
+        (rec,) = records(run_cli("order", "--x", "1", "--mod", "360"))
+        assert rec["order"] == 1
+
+    def test_mod_12(self):
+        (rec,) = records(run_cli("order", "--x", "7", "--mod", "12"))
+        assert rec["order"] == 2
+        assert rec["components"] == [[4, 2], [3, 1]]
 
     def test_two_mod_seven(self):
         (rec,) = records(run_cli("order", "--x", "2", "--mod", "7"))
@@ -149,8 +163,15 @@ class TestOrder:
         assert rec["components"] == [[8, 2], [3, 2], [5, 1]]
 
     def test_non_coprime(self):
-        proc = run_cli("order", "--x", "6", "--mod", "9")
-        assert proc.returncode == 2
+        for x, m in [(6, 9), (10, 15), (4, 2)]:
+            proc = run_cli("order", "--x", str(x), "--mod", str(m))
+            assert proc.returncode == 2 and proc.stdout == "", (x, m)
+
+    def test_modulus_must_be_positive(self):
+        for m in ("0", "-7"):
+            proc = run_cli("order", "--x", "5", f"--mod={m}")
+            assert proc.returncode == 2 and proc.stdout == "", m
+            assert "modulus must be positive" in proc.stderr
 
 
 class TestAudit:

@@ -33,10 +33,30 @@ class TestBruteForce:
         for a, b in [(1, 2), (3, 5), (2, 7), (1, 1), (5, 9)]:
             pair = Pair(a, b)
             for ell in range(1, 80):
-                base = oracle.brute_force_verdict(pair, ell)
-                wider = oracle.brute_force_verdict(
-                    pair, ell, k_max=2 * oracle.default_scan_bound(pair, ell))
-                assert base == wider
+                v = oracle.brute_force_verdict(pair, ell)
+                w, w_odd, w_even = witness_by_scan(a, b, ell, 4 * ell)
+                assert (v.witness, v.oddly_good, v.evenly_good) == (
+                    w, w_odd is not None, w_even is not None), (a, b, ell)
+
+    def test_needs_nothing_from_arith(self, monkeypatch):
+        # Brute force is the independent route: it must answer with every
+        # public function of arith refusing to run.
+        pairs = [Pair(a, b) for a in range(-13, 14) for b in range(-13, 14)
+                 if a and b and math.gcd(a, b) == 1]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("brute force called arith")
+
+        for name, obj in vars(arith).items():
+            if (not name.startswith("_") and callable(obj) and not isinstance(obj, type)
+                    and getattr(obj, "__module__", None) == arith.__name__):
+                monkeypatch.setattr(arith, name, refuse)
+        with pytest.raises(AssertionError):
+            arith.factorize(12)
+        for pair in pairs:
+            swept = oracle.brute_force_sweep(pair, 300)
+            for ell in range(1, 301):
+                assert oracle.brute_force_verdict(pair, ell) == swept[ell - 1]
 
     def test_shared_factor_scan_finds_nothing(self):
         for a, b, ell in [(2, 1, 4), (6, 1, 3), (2, 3, 10), (4, 9, 6)]:
@@ -93,12 +113,11 @@ class TestEquivalence:
     @settings(max_examples=200, deadline=None)
     def test_witness_minimality_and_parity(self, ab, ell):
         pair = Pair(*ab)
-        v = oracle.order_oracle_verdict(pair, ell)
-        w, w_odd, w_even = witness_by_scan(
-            pair.a, pair.b, ell, oracle.default_scan_bound(pair, ell))
-        assert v.witness == w
-        assert v.oddly_good == (w_odd is not None)
-        assert v.evenly_good == (w_even is not None)
+        w, w_odd, w_even = witness_by_scan(pair.a, pair.b, ell, 2 * ell)
+        for v in (oracle.order_oracle_verdict(pair, ell), oracle.brute_force_verdict(pair, ell)):
+            assert v.witness == w
+            assert v.oddly_good == (w_odd is not None)
+            assert v.evenly_good == (w_even is not None)
 
     def test_good_parity_is_exclusive_beyond_two(self):
         for a, b in [(1, 2), (3, 5), (1, 4), (7, 9), (1, -1)]:
