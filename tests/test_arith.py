@@ -314,6 +314,27 @@ class TestLargeModuliBatch:
 class TestOrderViaCrt:
     """The order mod m is the lcm of the orders mod its maximal prime powers."""
 
+    @staticmethod
+    def components(x, m):
+        return [(pp, arith.multiplicative_order(x, pp))
+                for pp in arith.factorize(m).prime_powers()]
+
+    def test_mod_12(self):
+        assert arith.multiplicative_order(7, 12) == 2
+        assert self.components(7, 12) == [(4, 2), (3, 1)]
+
+    def test_identity(self):
+        assert arith.multiplicative_order(1, 360) == 1
+        assert all(t == 1 for _, t in self.components(1, 360))
+
+    def test_mod_120(self):
+        assert arith.multiplicative_order(11, 120) == 2
+        assert self.components(11, 120) == [(8, 2), (3, 2), (5, 1)]
+
+    def test_non_coprime_rejected(self):
+        with pytest.raises(ValueError):
+            arith.multiplicative_order(10, 15)
+
     @given(st.integers(1, 10**5), st.integers(1, 10**5))
     @settings(max_examples=300)
     def test_agrees_with_direct_order(self, x, m):
