@@ -13,7 +13,6 @@ from .arith import (
     NotInvertibleError,
     carmichael_lambda,
     factorize,
-    gcd,
     is_prime,
     mod_inverse,
     mod_pow,
@@ -34,8 +33,6 @@ from .classify import (
     even_ell_good_criterion,
     is_good,
     is_good_via_sum_valuation,
-    is_oddly_good,
-    is_oddly_good_via_sum_valuation,
     odd_good_criterion,
     power_of_two_equivalence,
 )
@@ -61,11 +58,8 @@ __all__ = [
     "doubling_verdicts",
     "even_ell_good_criterion",
     "factorize",
-    "gcd",
     "is_good",
     "is_good_via_sum_valuation",
-    "is_oddly_good",
-    "is_oddly_good_via_sum_valuation",
     "is_prime",
     "mod_inverse",
     "mod_pow",

@@ -68,13 +68,6 @@ class Factorization:
         return tuple(p**e for p, e in self.prime_items())
 
 
-def gcd(a: int, b: int) -> int:
-    """Non-negative gcd; gcd(0, 0) is rejected."""
-    if a == 0 and b == 0:
-        raise ValueError("gcd(0, 0) is undefined")
-    return math.gcd(a, b)
-
-
 def mod_pow(x: int, e: int, m: int) -> int:
     """x**e mod m, canonical in [0, m). m = 1 yields 0."""
     if m < 1:

@@ -134,10 +134,12 @@ def audit_negation_from_even_order(d_max: int) -> Iterator[AuditFinding]:
     counterexample (holding instances are not materialized: there are on
     the order of d_max**2 of them).  Counterexamples only ever appear for
     d with at least two distinct prime factors; the scan verifies rather
-    than assumes this.  Cost grows quadratically in d_max.
+    than assumes this.  d_max must be in 1..10**4: time and output grow
+    faster than quadratically (d_max = 5000 already yields over 500 MB of
+    findings through the CLI).
     """
-    if not 1 <= d_max <= 10**5:
-        raise ValueError(f"d_max must be in 1..10**5, got {d_max}")
+    if not 1 <= d_max <= 10**4:
+        raise ValueError(f"d_max must be in 1..10**4, got {d_max}")
     tables: dict[int, np.ndarray] = {}
     for d in range(3, d_max + 1, 2):
         f = arith.factorize(d)
@@ -206,7 +208,7 @@ def _odd_witness_pair_findings(task) -> tuple[list[AuditFinding], list[AuditFind
             continue
         truth = sweep[ell - 1].oddly_good
         # One decision per ell: the literal reading differs only in this bit.
-        per = classify.is_oddly_good(pair, ell).oddly_good
+        per = classify.is_good(pair, ell).oddly_good
         lit = _literal_oddly_good(pair, arith.factorize(ell), per)
         if lit != truth:
             literal.append(_finding(CLAIM_WHOLE_ORDER_VARIANT, a, b, ell,
@@ -248,9 +250,9 @@ def audit_odd_witness_variants(a_max: int, b_max: int, ell_max: int,
     Sweeps every ordered coprime odd pair (a <= a_max, b <= b_max) and every
     ell = 2**beta * d <= ell_max with beta >= 2, d >= 3 coprime to ab, and
     returns discrepancies under "literal" (Theorem 2's printed whole-modulus
-    condition, documenting where it diverges) and "per_prime" (the decider
-    is_oddly_good, expected to stay empty).  Bounds: a_max, b_max in 0..10**3,
-    ell_max in 1..10**4, and pairs * ell_max**2 <= 10**9.
+    condition, documenting where it diverges) and "per_prime" (the oddly_good
+    bit of the decider is_good, expected to stay empty).  Bounds: a_max,
+    b_max in 0..10**3, ell_max in 1..10**4, and pairs * ell_max**2 <= 10**9.
     """
     pairs = _check_sweep_bounds(a_max, b_max, ell_max, _odd_witness_pairs)
     # The moduli 2**beta * d with beta >= 2 and d >= 3.

@@ -1,13 +1,16 @@
 """Decision procedures for good / oddly-good moduli.
 
-One membership table settles every decider.  Write ell = 2**beta * d with
-d odd and x = a*b**-1.  The 2-part passes when x = -1 (mod 2**beta) (the
-theorem) or beta <= nu2(a + b) (the corollary, odd pairs only).  The odd
-part passes through the common 2-adic valuation s of the per-prime orders
-Ord_p(x), p | d: s >= 1 suffices when beta <= 1, s == 1 is needed when
-beta >= 2, and s == 1 (or d == 1) is exactly what makes a witness odd.  A
-good ell costs one more order, t = Ord_ell(x), whose half is the smallest
-witness; the deciders never consult the order oracle.
+One membership table settles both deciders, is_good and
+is_good_via_sum_valuation; each verdict carries all three bits, so the
+oddly-good answer is read from Verdict.oddly_good.  Write ell = 2**beta * d
+with d odd and x = a*b**-1.  The 2-part passes when x = -1 (mod 2**beta)
+(the theorem, is_good) or beta <= nu2(a + b) (the corollary, odd pairs
+only, is_good_via_sum_valuation).  The odd part passes through the common
+2-adic valuation s of the per-prime orders Ord_p(x), p | d: s >= 1
+suffices when beta <= 1, s == 1 is needed when beta >= 2, and s == 1 (or
+d == 1) is exactly what makes a witness odd.  A good ell costs one more
+order, t = Ord_ell(x), whose half is the smallest witness; the deciders
+never consult the order oracle.
 
 Only this table decides here.  The printed form of Theorem 2, which asks
 for 2 || Ord_d(x) over the whole odd part d instead of per prime, differs
@@ -18,7 +21,6 @@ the other printed claims and shows where it fails.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 
 from . import arith, oracle
 from .core import Pair, Verdict
@@ -140,16 +142,6 @@ def is_good(pair: Pair, ell: int) -> Verdict:
     return _decide(pair, ell, "theorem")
 
 
-def is_oddly_good(pair: Pair, ell: int) -> Verdict:
-    """Case-analysis decision for odd witnesses, read from its oddly_good bit.
-
-    When beta >= 2 and d >= 3 the odd part needs 2 || Ord_p(a*b**-1) for
-    every prime p | d; the whole-modulus reading, 2 || Ord_d(a*b**-1), is
-    audited in audit._literal_oddly_good.
-    """
-    return _decide(pair, ell, "theorem")
-
-
 def is_good_via_sum_valuation(pair: Pair, ell: int) -> Verdict:
     """Membership decided through gamma = nu2(a + b) instead of a congruence.
 
@@ -159,14 +151,3 @@ def is_good_via_sum_valuation(pair: Pair, ell: int) -> Verdict:
     good, whether the order mod ell carries that same valuation.
     """
     return _decide(pair, ell, "corollary")
-
-
-def is_oddly_good_via_sum_valuation(pair: Pair, ell: int) -> Verdict:
-    """Odd-witness membership decided through gamma = nu2(a + b).
-
-    Odd pairs only.  When the order-valuation case applies, the verdict
-    reports whether 2 || Ord_ell(a*b**-1) held (order_claim_ok), which the
-    decision promises as a side effect; an evenly-good ell reports None.
-    """
-    v = _decide(pair, ell, "corollary")
-    return v if v.oddly_good else replace(v, order_claim_ok=None)

@@ -254,7 +254,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--claim", required=True,
                    choices=("jitman-eq1", "jitman-eq2", "thm2-literal", "crossval"))
     p.add_argument("--beta", type=int, default=8, help="jitman-eq1: max power of two")
-    p.add_argument("--d-max", type=int, default=100, help="jitman-eq2: max odd modulus")
+    p.add_argument("--d-max", type=int, default=100,
+                   help="jitman-eq2: max odd modulus (1..10^4)")
     p.add_argument("--a-max", type=int, default=25)
     p.add_argument("--b-max", type=int, default=25)
     p.add_argument("--ell-max", type=int, default=200)

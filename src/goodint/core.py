@@ -4,6 +4,7 @@ the order-preserving process fan-out used by the audits and the CLI."""
 from __future__ import annotations
 
 import math
+import os
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -62,19 +63,21 @@ class Verdict:
 
 
 def parallel_map(fn, tasks, jobs: int):
-    """Yield fn(task) for each task in order, across `jobs` processes if jobs > 1.
+    """Yield fn(task) for each task in order, across worker processes if jobs > 1.
 
-    At most 2 * jobs tasks are in flight, so finished results never pile up
-    ahead of a slow consumer.  Closing the generator early cancels the tasks
-    not yet started.
+    Starts min(jobs, len(tasks), CPU count) workers, since the pool forks
+    them all at the first submit, and keeps at most twice that many tasks in
+    flight, so finished results never pile up ahead of a slow consumer.
+    Closing the generator early cancels the tasks not yet started.
     """
-    if jobs <= 1 or len(tasks) <= 1:
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    if workers <= 1:
         yield from map(fn, tasks)
         return
-    pool = ProcessPoolExecutor(max_workers=jobs)
+    pool = ProcessPoolExecutor(max_workers=workers)
     try:
         rest = iter(tasks)
-        window = deque(pool.submit(fn, t) for t in islice(rest, 2 * jobs))
+        window = deque(pool.submit(fn, t) for t in islice(rest, 2 * workers))
         while window:
             result = window.popleft().result()
             window.extend(pool.submit(fn, t) for t in islice(rest, 1))

@@ -11,27 +11,6 @@ from conftest import (EDGE_MODULI, EDGE_RESIDUES, factor_by_trial, negation_by_s
                       order_by_scan)
 
 
-class TestGcd:
-    def test_coprime(self):
-        assert arith.gcd(12, 35) == 1
-
-    def test_zero_identity(self):
-        assert arith.gcd(0, 7) == 7
-
-    def test_sign_invariance(self):
-        assert arith.gcd(-4, 6) == 2
-
-    def test_both_zero_rejected(self):
-        with pytest.raises(ValueError):
-            arith.gcd(0, 0)
-
-    @given(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6))
-    def test_matches_math_gcd(self, a, b):
-        if a == 0 and b == 0:
-            return
-        assert arith.gcd(a, b) == math.gcd(abs(a), abs(b)) >= 0
-
-
 class TestModPow:
     def test_hand_check(self):
         assert arith.mod_pow(2, 3, 7) == 1

@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -114,8 +115,9 @@ class TestNegationFromEvenOrder:
         assert a == b
 
     def test_bounds(self):
-        with pytest.raises(ValueError):
-            list(audit.audit_negation_from_even_order(10**5 + 1))
+        for d_max in (10**4 + 1, 10**5 + 1):
+            with pytest.raises(ValueError):
+                list(audit.audit_negation_from_even_order(d_max))
 
 
 class TestWholeOrderVariant:
@@ -137,7 +139,7 @@ class TestWholeOrderVariant:
         for f in audit.audit_odd_witness_variants(15, 15, 200)["literal"]:
             pair = Pair(f.a, f.b)
             bv = oracle.brute_force_verdict(pair, f.modulus)
-            per = classify.is_oddly_good(pair, f.modulus).oddly_good
+            per = classify.is_good(pair, f.modulus).oddly_good
             lit = audit._literal_oddly_good(pair, arith.factorize(f.modulus), per)
             assert lit != bv.oddly_good
 
@@ -152,7 +154,7 @@ class TestWholeOrderVariant:
         for a, b, ell in instances:
             pair = Pair(a, b)
             truth = oracle.brute_force_verdict(pair, ell).oddly_good
-            per = classify.is_oddly_good(pair, ell).oddly_good
+            per = classify.is_good(pair, ell).oddly_good
             lit = audit._literal_oddly_good(pair, arith.factorize(ell), per)
             for variant, bit in (("literal", lit), ("per_prime", per)):
                 if bit != truth:
@@ -187,8 +189,10 @@ class TestParallelMap:
         assert list(core.parallel_map(abs, tasks, 2)) == [abs(t) for t in tasks]
         assert list(core.parallel_map(abs, tasks, 1)) == [abs(t) for t in tasks]
 
-    def test_window_is_bounded_and_cancelled_on_close(self, monkeypatch):
-        stats = {"live": 0, "peak": 0, "cancelled": None}
+    @staticmethod
+    def fake_pool(monkeypatch, cpus):
+        """Patch in a pool that runs tasks at submit and records its use."""
+        stats = {"workers": None, "live": 0, "peak": 0, "cancelled": None}
 
         class Done:
             def __init__(self, value):
@@ -200,7 +204,7 @@ class TestParallelMap:
 
         class Pool:
             def __init__(self, max_workers):
-                pass
+                stats["workers"] = max_workers
 
             def submit(self, fn, task):
                 stats["live"] += 1
@@ -211,6 +215,11 @@ class TestParallelMap:
                 stats["cancelled"] = cancel_futures
 
         monkeypatch.setattr(core, "ProcessPoolExecutor", Pool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        return stats
+
+    def test_window_is_bounded_and_cancelled_on_close(self, monkeypatch):
+        stats = self.fake_pool(monkeypatch, cpus=8)
         assert list(core.parallel_map(abs, range(-50, 0), 3)) == list(range(50, 0, -1))
         assert stats["peak"] == 6 and stats["cancelled"] is True
         stats["cancelled"] = None
@@ -218,6 +227,15 @@ class TestParallelMap:
         assert next(results) == 50
         results.close()
         assert stats["cancelled"] is True
+
+    @pytest.mark.parametrize("cpus,tasks,workers,peak", [(4, 50, 4, 8), (8, 3, 3, 3)])
+    def test_workers_capped_by_cpus_and_tasks(self, monkeypatch, cpus, tasks, workers, peak):
+        # The pool forks all its workers at the first submit, so a huge
+        # job count must never reach it.
+        stats = self.fake_pool(monkeypatch, cpus)
+        out = list(core.parallel_map(abs, range(-tasks, 0), 10**9))
+        assert out == list(range(tasks, 0, -1))
+        assert stats["workers"] == workers and stats["peak"] == peak
 
 
 class TestCrossval:

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -155,15 +154,15 @@ class TestIsGood:
 
 class TestIsOddlyGood:
     def test_one_two_mod5_not_oddly(self):
-        v = classify.is_oddly_good(Pair(1, 2), 5)
+        v = classify.is_good(Pair(1, 2), 5)
         assert not v.oddly_good and v.evenly_good and v.good
 
     def test_eleven_one_mod12(self):
-        v = classify.is_oddly_good(Pair(11, 1), 12)
+        v = classify.is_good(Pair(11, 1), 12)
         assert v.oddly_good and v.witness == 1
 
     def test_literal_variant_differs_at_19_1_60(self):
-        per = classify.is_oddly_good(Pair(19, 1), 60)
+        per = classify.is_good(Pair(19, 1), 60)
         lit = audit._literal_oddly_good(Pair(19, 1), arith.factorize(60), per.oddly_good)
         truth = oracle.brute_force_verdict(Pair(19, 1), 60)
         assert lit is True
@@ -174,7 +173,7 @@ class TestIsOddlyGood:
     @settings(max_examples=300, deadline=None)
     def test_per_prime_matches_brute_force(self, ab, ell):
         pair = Pair(*ab)
-        tv = classify.is_oddly_good(pair, ell)
+        tv = classify.is_good(pair, ell)
         bv = oracle.brute_force_verdict(pair, ell)
         assert tv.oddly_good == bv.oddly_good
         assert tv.flags() == bv.flags()
@@ -187,7 +186,7 @@ class TestIsOddlyGood:
         if f.beta >= 2 and len(f.odd_part) >= 1 and f.odd_value > 1:
             return
         pair = Pair(*ab)
-        per = classify.is_oddly_good(pair, ell).oddly_good
+        per = classify.is_good(pair, ell).oddly_good
         assert audit._literal_oddly_good(pair, f, per) == per
 
 
@@ -201,24 +200,22 @@ class TestSumValuationDeciders:
         assert classify.is_good_via_sum_valuation(Pair(3, 5), 8).method == "corollary"
 
     def test_oddly_examples(self):
-        v = classify.is_oddly_good_via_sum_valuation(Pair(11, 1), 12)
+        v = classify.is_good_via_sum_valuation(Pair(11, 1), 12)
         assert v.oddly_good
         assert v.order_claim_ok is True
         assert arith.multiplicative_order(11, 12) == 2
-        assert classify.is_oddly_good_via_sum_valuation(Pair(3, 5), 1).oddly_good
-        assert not classify.is_oddly_good_via_sum_valuation(Pair(1, 3), 5).oddly_good
+        assert classify.is_good_via_sum_valuation(Pair(3, 5), 1).oddly_good
+        assert not classify.is_good_via_sum_valuation(Pair(1, 3), 5).oddly_good
 
     def test_rejects_even_pair(self):
         with pytest.raises(ValueError):
             classify.is_good_via_sum_valuation(Pair(1, 2), 5)
-        with pytest.raises(ValueError):
-            classify.is_oddly_good_via_sum_valuation(Pair(1, 2), 5)
 
     def test_cancelling_pair_is_always_good(self):
         pair = Pair(1, -1)  # a + b = 0: every modulus divides a**1 + b**1
         for ell in range(1, 40):
             assert classify.is_good_via_sum_valuation(pair, ell).good
-            assert classify.is_oddly_good_via_sum_valuation(pair, ell).oddly_good
+            assert classify.is_good_via_sum_valuation(pair, ell).oddly_good
 
     @given(odd_coprime_pairs, st.integers(1, 1200))
     @settings(max_examples=300, deadline=None)
@@ -226,14 +223,6 @@ class TestSumValuationDeciders:
         pair = Pair(*ab)
         c = classify.is_good_via_sum_valuation(pair, ell)
         t = classify.is_good(pair, ell)
-        assert c.flags() == t.flags() and c.witness == t.witness
-
-    @given(odd_coprime_pairs, st.integers(1, 1200))
-    @settings(max_examples=300, deadline=None)
-    def test_oddly_agrees_with_per_prime(self, ab, ell):
-        pair = Pair(*ab)
-        c = classify.is_oddly_good_via_sum_valuation(pair, ell)
-        t = classify.is_oddly_good(pair, ell)
         assert c.flags() == t.flags() and c.witness == t.witness
 
     @given(odd_coprime_pairs, st.integers(1, 600))
@@ -274,26 +263,30 @@ class TestSingleTable:
         for a, b, ell in self.CASES:
             pair = Pair(a, b)
             assert classify.is_good(pair, ell).method == "theorem"
-            assert classify.is_oddly_good(pair, ell).method == "theorem"
             if pair.ab_odd:
                 assert classify.is_good_via_sum_valuation(pair, ell).method == "corollary"
-                assert classify.is_oddly_good_via_sum_valuation(pair, ell).method == "corollary"
         assert classify.is_good(Pair(1, 2), 5).witness == 2
         assert classify.is_good(Pair(11, 1), 12).witness == 1
 
-    @given(any_coprime_pairs, st.integers(1, 1200))
-    @settings(max_examples=300, deadline=None)
-    def test_oddly_good_is_good(self, ab, ell):
-        pair = Pair(*ab)
-        assert classify.is_oddly_good(pair, ell) == classify.is_good(pair, ell)
 
-    @given(odd_coprime_pairs, st.integers(1, 1200))
-    @settings(max_examples=300, deadline=None)
-    def test_sum_valuation_pair_differs_only_in_claim(self, ab, ell):
+class TestEdgeModuli:
+    # Powers of two up to 2**63 and moduli near 2**63, against negative
+    # pairs and pairs with a + b = 0.
+    MODULI = [2**k for k in range(1, 64)] + [2**63 - 25, 2**63 - 1, 2**62 + 1, 3 * 2**61]
+
+    @pytest.mark.parametrize("ab", [(1, -1), (-1, 1), (-3, 5), (3, -5), (-7, -9),
+                                    (-2, 3), (7, -4)], ids=lambda ab: "%d_%d" % ab)
+    def test_deciders_agree_with_oracles(self, ab):
         pair = Pair(*ab)
-        odd = classify.is_oddly_good_via_sum_valuation(pair, ell)
-        full = classify.is_good_via_sum_valuation(pair, ell)
-        assert replace(odd, order_claim_ok=None) == replace(full, order_claim_ok=None)
+        for ell in self.MODULI:
+            o = oracle.order_oracle_verdict(pair, ell)
+            deciders = [classify.is_good(pair, ell)]
+            if pair.ab_odd:
+                deciders.append(classify.is_good_via_sum_valuation(pair, ell))
+            if ell <= 10**6:
+                deciders.append(oracle.brute_force_verdict(pair, ell))
+            for v in deciders:
+                assert (v.flags(), v.witness) == (o.flags(), o.witness), (ab, ell, v.method)
 
 
 class TestDoublingVerdicts:

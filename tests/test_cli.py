@@ -225,6 +225,12 @@ class TestAudit:
         assert time.monotonic() - t0 < 2
         assert proc.returncode == 2 and proc.stdout == ""
 
+    def test_negation_claim_bound_refused_up_front(self):
+        t0 = time.monotonic()
+        proc = run_cli("audit", "--claim", "jitman-eq2", "--d-max", "10001", timeout=10)
+        assert time.monotonic() - t0 < 2
+        assert proc.returncode == 2 and proc.stdout == ""
+
     def test_unknown_claim_is_usage_error(self):
         proc = run_cli("audit", "--claim", "eq3")
         assert proc.returncode == 1

@@ -1,4 +1,4 @@
-"""The README's library example runs against the package as it is."""
+"""The README's library example runs, and the API names it gives exist."""
 
 import os
 import re
@@ -8,9 +8,13 @@ import goodint
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
 
 
-def test_library_quick_start_runs():
+def read_readme() -> str:
     with open(README, encoding="utf-8") as fh:
-        section = fh.read().split("## Library quick start", 1)[1].split("\n## ", 1)[0]
+        return fh.read()
+
+
+def test_library_quick_start_runs():
+    section = read_readme().split("## Library quick start", 1)[1].split("\n## ", 1)[0]
     block = re.search(r"```python\n(.*?)```", section, re.S)
     assert block, "no python block under Library quick start"
     exec(compile(block.group(1), README, "exec"), {})
@@ -19,3 +23,13 @@ def test_library_quick_start_runs():
 def test_every_exported_name_resolves():
     missing = [name for name in goodint.__all__ if not hasattr(goodint, name)]
     assert missing == []
+
+
+def test_module_bullets_name_existing_functions():
+    bullets = [part.split("\n\n", 1)[0] for part in read_readme().split("\n- **")
+               if part.startswith("`goodint.")]
+    assert len(bullets) == 4
+    names = {name for text in bullets for name in re.findall(r"`([^`]+)`", text)
+             if re.fullmatch(r"[a-z]+(_[a-z0-9]+)+", name)}
+    assert "is_good_via_sum_valuation" in names
+    assert sorted(name for name in names if not hasattr(goodint, name)) == []
