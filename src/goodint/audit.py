@@ -1,12 +1,14 @@
 """Counterexample scanners.
 
 Each audit pits a plausible-looking implication, evaluated exactly as
-printed, against ground truth and emits a structured finding wherever the
-two part ways.  The three printed claims (Jitman's two order implications
-and Theorem 2's whole-modulus odd-witness condition) are false in general
-and the scans exhibit the smallest refuting instances; the
-cross-validation sweep runs the case-analysis classifiers against the
-definitional oracle and is expected to stay silent.
+printed, against ground truth and reports a finding wherever the two part
+ways: an AuditFinding in the scans that return lists, and per-modulus
+numpy columns in the jitman_eq2 scan, whose findings run into the
+millions.  The three printed claims (Jitman's two order implications and
+Theorem 2's whole-modulus odd-witness condition) are false in general and
+the scans exhibit the smallest refuting instances; the cross-validation
+sweep runs the case-analysis classifiers against the definitional oracle
+and is expected to stay silent.
 """
 
 from __future__ import annotations
@@ -28,7 +30,11 @@ CLAIM_CUSTOM = "custom"
 
 @dataclass(frozen=True)
 class AuditFinding:
-    """One audited instance: what the literal statement says vs. ground truth."""
+    """One audited instance: what the literal statement says vs. ground truth.
+
+    Built by the list-returning scans (jitman_eq1, thm2_literal and the
+    cross-validation sweep); audit_negation_from_even_order yields columns.
+    """
 
     claim_id: str
     a: int
@@ -127,16 +133,20 @@ def audit_order2_congruence(beta_max: int) -> list[AuditFinding]:
 # Claim: order 2k mod odd d forces x**k = -1 (mod d).
 # ---------------------------------------------------------------------------
 
-def audit_negation_from_even_order(d_max: int) -> Iterator[AuditFinding]:
+def audit_negation_from_even_order(
+        d_max: int) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
     """Scan every odd d <= d_max and every coprime x of even order 2k.
 
-    Evaluates x**k mod d directly and yields a finding for each
-    counterexample (holding instances are not materialized: there are on
-    the order of d_max**2 of them).  Counterexamples only ever appear for
-    d with at least two distinct prime factors; the scan verifies rather
-    than assumes this.  d_max must be in 1..10**4: time and output grow
-    faster than quadratically (d_max = 5000 already yields over 500 MB of
-    findings through the CLI).
+    Evaluates x**k mod d directly and, for each odd d with counterexamples,
+    in ascending d, yields the columns (d, x, k, y, t): int64 arrays over its
+    counterexamples in ascending x, with t = Ord_d(x), k = t/2 and
+    y = x**k mod d != d - 1.  Moduli without counterexamples yield nothing,
+    and holding instances are not materialized (there are on the order of
+    d_max**2 of them).  Counterexamples only ever appear for d with at least
+    two distinct prime factors; the scan verifies rather than assumes this.
+    d_max must be in 1..10**4: time and output grow faster than
+    quadratically (d_max = 5000 already yields over 500 MB of findings
+    through the CLI).
     """
     if not 1 <= d_max <= 10**4:
         raise ValueError(f"d_max must be in 1..10**4, got {d_max}")
@@ -159,13 +169,8 @@ def audit_negation_from_even_order(d_max: int) -> Iterator[AuditFinding]:
         ke = te >> 1
         y = _pow_mod_vec(xe, ke, d)
         bad = y != d - 1
-        for xi, ki, yi, ti in zip(xe[bad], ke[bad], y[bad], te[bad]):
-            xi, ki, yi, ti = int(xi), int(ki), int(yi), int(ti)
-            yield _finding(
-                CLAIM_NEGATION_FROM_EVEN_ORDER, xi, 1, d, xi,
-                literal=False, oracle_v=True,
-                note=f"order {ti}; pow(x, {ki}, {d}) = {yi}",
-            )
+        if bad.any():
+            yield d, xe[bad], ke[bad], y[bad], te[bad]
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,8 @@ multiplicative order, and run the counterexample audits.  Output is one
 JSON object per line (schema_version 1), records sorted by (ell, a, b).
 
 Exit codes: 0 success, 1 usage error, 2 precondition violation,
-3 discrepancies found (audit --claim crossval only).
+3 discrepancies found (audit --claim crossval only), 130 interrupted
+(SIGINT).
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_PRECONDITION = 2
 EXIT_DISCREPANCY = 3
+EXIT_INTERRUPTED = 130
 
 
 class _Parser(argparse.ArgumentParser):
@@ -39,10 +41,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
-
-def _emit(record: dict) -> None:
-    sys.stdout.write(json.dumps(record, separators=(",", ":")) + "\n")
 
 
 _JSON_BOOL = {True: "true", False: "false"}
@@ -71,20 +69,29 @@ def _verdict_line(a: int, b: int, v: Verdict, agreement: bool | None = None) -> 
     return line + "}"
 
 
-def _finding_record(f: audit.AuditFinding) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "finding",
-        "claim": f.claim_id,
-        "a": f.a,
-        "b": f.b,
-        "modulus": f.modulus,
-        "x": f.x,
-        "literal_verdict": f.literal_verdict,
-        "oracle_verdict": f.oracle_verdict,
-        "discrepancy": f.discrepancy,
-        "note": f.note,
-    }
+def _finding_line(claim: str, a: int, b: int, modulus: int, x: int,
+                  literal: bool, oracle_v: bool, note: str) -> str:
+    """One finding record as compact JSON, keys in schema order.
+
+    Equal to json.dumps of the record with separators (",", ":").  Claim ids
+    are plain identifiers, and every note is built from integers and fixed
+    words (inside audit, or from the jitman_eq2 columns in
+    _write_negation_findings), so neither needs escaping.  discrepancy is
+    literal != oracle_v, as in AuditFinding.
+    """
+    return (
+        f'{{"schema_version":{SCHEMA_VERSION},"kind":"finding","claim":"{claim}",'
+        f'"a":{a},"b":{b},"modulus":{modulus},"x":{x},'
+        f'"literal_verdict":{_JSON_BOOL[literal]},'
+        f'"oracle_verdict":{_JSON_BOOL[oracle_v]},'
+        f'"discrepancy":{_JSON_BOOL[literal != oracle_v]},"note":"{note}"}}'
+    )
+
+
+def _write_findings(findings) -> None:
+    for f in findings:
+        sys.stdout.write(_finding_line(f.claim_id, f.a, f.b, f.modulus, f.x,
+                                       f.literal_verdict, f.oracle_verdict, f.note) + "\n")
 
 
 def _resolve_jobs(flag: int | None) -> int:
@@ -181,7 +188,7 @@ def _cmd_enumerate(args) -> int:
 def _cmd_order(args) -> int:
     x, m = args.x, args.mod
     order = arith.multiplicative_order(x, m)
-    _emit({
+    record = {
         "schema_version": SCHEMA_VERSION,
         "kind": "order",
         "x": x % m,
@@ -189,7 +196,8 @@ def _cmd_order(args) -> int:
         "order": order,
         "components": [[pp, arith.multiplicative_order(x, pp)]
                        for pp in arith.factorize(m).prime_powers()],
-    })
+    }
+    sys.stdout.write(json.dumps(record, separators=(",", ":")) + "\n")
     return EXIT_OK
 
 
@@ -197,25 +205,32 @@ def _cmd_order(args) -> int:
 # audit
 # ---------------------------------------------------------------------------
 
+def _write_negation_findings(d_max: int) -> None:
+    """The jitman-eq2 findings, one write per modulus from its columns."""
+    claim = audit.CLAIM_NEGATION_FROM_EVEN_ORDER
+    for d, x, k, y, t in audit.audit_negation_from_even_order(d_max):
+        sys.stdout.write("".join([
+            _finding_line(claim, xi, 1, d, xi, False, True,
+                          f"order {ti}; pow(x, {ki}, {d}) = {yi}") + "\n"
+            for xi, ki, yi, ti in zip(x.tolist(), k.tolist(), y.tolist(), t.tolist())
+        ]))
+
+
 def _cmd_audit(args) -> int:
     jobs = _resolve_jobs(args.jobs)
     if args.claim == "jitman-eq1":
-        for f in audit.audit_order2_congruence(args.beta):
-            _emit(_finding_record(f))
+        _write_findings(audit.audit_order2_congruence(args.beta))
         return EXIT_OK
     if args.claim == "jitman-eq2":
-        for f in audit.audit_negation_from_even_order(args.d_max):
-            _emit(_finding_record(f))
+        _write_negation_findings(args.d_max)
         return EXIT_OK
     if args.claim == "thm2-literal":
         findings = audit.audit_odd_witness_variants(
             args.a_max, args.b_max, args.ell_max, jobs=jobs)["literal"]
-        for f in sorted(findings, key=lambda f: (f.modulus, f.a, f.b)):
-            _emit(_finding_record(f))
+        _write_findings(sorted(findings, key=lambda f: (f.modulus, f.a, f.b)))
         return EXIT_OK
     findings = audit.crossval_sweep(args.a_max, args.b_max, args.ell_max, jobs=jobs)
-    for f in sorted(findings, key=lambda f: (f.modulus, f.a, f.b)):
-        _emit(_finding_record(f))
+    _write_findings(sorted(findings, key=lambda f: (f.modulus, f.a, f.b)))
     return EXIT_DISCREPANCY if findings else EXIT_OK
 
 
@@ -273,6 +288,9 @@ def main(argv=None) -> int:
         return EXIT_PRECONDITION
     except BrokenPipeError:
         return EXIT_OK
+    except KeyboardInterrupt:
+        print("goodint: interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 import os
+import signal
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -62,19 +63,27 @@ class Verdict:
         return (self.good, self.oddly_good, self.evenly_good)
 
 
+def _ignore_sigint() -> None:
+    # Ctrl-C reaches the whole process group; only the parent should act on
+    # it.  A worker interrupted inside a queue operation can leave the pool's
+    # shutdown waiting forever.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+
+
 def parallel_map(fn, tasks, jobs: int):
     """Yield fn(task) for each task in order, across worker processes if jobs > 1.
 
     Starts min(jobs, len(tasks), CPU count) workers, since the pool forks
     them all at the first submit, and keeps at most twice that many tasks in
     flight, so finished results never pile up ahead of a slow consumer.
-    Closing the generator early cancels the tasks not yet started.
+    Closing the generator early cancels the tasks not yet started.  Workers
+    ignore SIGINT, so Ctrl-C interrupts the parent alone.
     """
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
     if workers <= 1:
         yield from map(fn, tasks)
         return
-    pool = ProcessPoolExecutor(max_workers=workers)
+    pool = ProcessPoolExecutor(max_workers=workers, initializer=_ignore_sigint)
     try:
         rest = iter(tasks)
         window = deque(pool.submit(fn, t) for t in islice(rest, 2 * workers))

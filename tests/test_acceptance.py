@@ -240,18 +240,13 @@ def test_criterion_08_even_order_negation_scope():
     """Counterexamples to x**(Ord/2) = -1 exist only for multi-prime odd d."""
     total = 0
     seen_11_15 = False
-    multi_prime = {}
     non_multi = 0
-    for f in audit.audit_negation_from_even_order(10**4):
-        total += 1
-        if f.modulus == 15 and f.x == 11:
+    for d, x, *_ in audit.audit_negation_from_even_order(10**4):
+        total += len(x)
+        if d == 15 and 11 in x:
             seen_11_15 = True
-        ok = multi_prime.get(f.modulus)
-        if ok is None:
-            ok = len(arith.factorize(f.modulus).odd_part) >= 2
-            multi_prime[f.modulus] = ok
-        if not ok:
-            non_multi += 1
+        if len(arith.factorize(d).odd_part) < 2:
+            non_multi += len(x)
     ok = total > 0 and seen_11_15 and non_multi == 0
     _report(8, ok, f"{total} counterexamples, prime-power hits {non_multi}, "
                    f"(11,15) found: {seen_11_15}")

@@ -74,11 +74,18 @@ class TestOrder2Congruence:
             audit.audit_order2_congruence(21)
 
 
+def negation_rows(d_max):
+    """(d, x, k, y, t) per counterexample, flattened from the per-modulus columns."""
+    return [(d, *row)
+            for d, *cols in audit.audit_negation_from_even_order(d_max)
+            for row in zip(*(c.tolist() for c in cols))]
+
+
 class TestNegationFromEvenOrder:
     def test_contains_11_mod_15(self):
-        findings = list(audit.audit_negation_from_even_order(15))
-        assert any(f.modulus == 15 and f.x == 11 for f in findings)
-        assert all(f.modulus == 15 for f in findings)
+        rows = negation_rows(15)
+        assert any(d == 15 and x == 11 for d, x, *_ in rows)
+        assert all(d == 15 for d, *_ in rows)
 
     def test_prime_powers_are_clean_small(self):
         assert list(audit.audit_negation_from_even_order(13)) == []
@@ -86,15 +93,23 @@ class TestNegationFromEvenOrder:
     def test_holds_example_not_emitted(self):
         # 2 has order 4 mod 5 and 2**2 = -1, so d = 5 contributes nothing
         assert negation_by_scan(2, 5) == 2
-        assert not any(f.modulus == 5 for f in audit.audit_negation_from_even_order(15))
+        assert not any(d == 5 for d, *_ in negation_rows(15))
 
     def test_every_finding_is_a_direct_counterexample(self):
-        for f in audit.audit_negation_from_even_order(201):
-            t = order_by_scan(f.x, f.modulus)
-            assert t % 2 == 0
-            assert pow(f.x, t // 2, f.modulus) != f.modulus - 1
-            assert f.discrepancy and not f.literal_verdict
-            assert len(factor_by_trial(f.modulus)) >= 2
+        for d, x, k, y, t in negation_rows(201):
+            assert t == order_by_scan(x, d)
+            assert t % 2 == 0 and k == t // 2
+            assert y == pow(x, k, d) != d - 1
+            assert len(factor_by_trial(d)) >= 2
+
+    def test_columns_nonempty_and_ascending(self):
+        ds = []
+        for d, *cols in audit.audit_negation_from_even_order(201):
+            ds.append(d)
+            assert all(c.dtype == np.int64 and c.shape == cols[0].shape for c in cols)
+            assert len(cols[0]) > 0
+            assert (np.diff(cols[0]) > 0).all()
+        assert ds == sorted(set(ds)) and 15 in ds
 
     def test_complete_against_scan(self):
         # emitted counterexamples for d <= 201 are exactly the scan's
@@ -106,13 +121,11 @@ class TestNegationFromEvenOrder:
                 t = order_by_scan(x, d)
                 if t % 2 == 0 and negation_by_scan(x, d) != t // 2:
                     expected.add((d, x))
-        got = {(f.modulus, f.x) for f in audit.audit_negation_from_even_order(201)}
+        got = {(d, x) for d, x, *_ in negation_rows(201)}
         assert got == expected
 
     def test_deterministic(self):
-        a = list(audit.audit_negation_from_even_order(101))
-        b = list(audit.audit_negation_from_even_order(101))
-        assert a == b
+        assert negation_rows(101) == negation_rows(101)
 
     def test_bounds(self):
         for d_max in (10**4 + 1, 10**5 + 1):
@@ -203,7 +216,7 @@ class TestParallelMap:
                 return self.value
 
         class Pool:
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, initializer=None):
                 stats["workers"] = max_workers
 
             def submit(self, fn, task):

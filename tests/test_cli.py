@@ -1,5 +1,6 @@
 import json
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -8,8 +9,9 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from goodint import classify, cli, oracle
+from goodint import audit, classify, cli, oracle
 from goodint.core import Pair, Verdict
+from conftest import order_by_scan
 
 PKG_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -135,6 +137,26 @@ class TestEnumerate:
         assert time.monotonic() - t0 < 5
         assert err == b""
 
+    def test_sigint_exits_130_without_traceback(self):
+        # Ctrl-C reaches the whole process group: parent and workers.
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "goodint", "enumerate", "--a", "3", "--b", "5",
+             "--max", "3000000", "--jobs", "2"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, cwd=PKG_ROOT,
+            start_new_session=True,
+        )
+        try:
+            assert proc.stdout.read(1) == b"{"
+            os.killpg(proc.pid, signal.SIGINT)
+            _, err = proc.communicate(timeout=20)
+        finally:
+            if proc.poll() is None:
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.wait()
+        assert proc.returncode == 130
+        assert b"Traceback" not in err
+        assert err.strip().endswith(b"goodint: interrupted")
+
 
 class TestOrder:
     def test_order_of_11_mod_8(self):
@@ -186,6 +208,21 @@ class TestAudit:
         recs = records(proc)
         assert any(r["modulus"] == 15 and r["x"] == 11 for r in recs)
         assert all(r["claim"] == "jitman_eq2" for r in recs)
+
+    def test_negation_records_are_counterexamples(self):
+        proc = run_cli("audit", "--claim", "jitman-eq2", "--d-max", "201")
+        assert proc.returncode == 0
+        recs = records(proc)
+        assert len(recs) > 0
+        assert proc.stdout == "".join(dumps(r) + "\n" for r in recs)
+        for r in recs:
+            d, x = r["modulus"], r["x"]
+            assert (r["schema_version"], r["kind"], r["claim"]) == (1, "finding", "jitman_eq2")
+            assert r["a"] == x and r["b"] == 1
+            assert r["literal_verdict"] is False and r["oracle_verdict"] is True
+            assert r["discrepancy"] is True
+            t = order_by_scan(x, d)
+            assert r["note"] == f"order {t}; pow(x, {t // 2}, {d}) = {pow(x, t // 2, d)}"
 
     def test_whole_order_claim_includes_19_1_60(self):
         proc = run_cli("audit", "--claim", "thm2-literal", "--a-max", "19",
@@ -295,3 +332,57 @@ class TestVerdictLine:
                 for agreement in (None, True):
                     line = cli._verdict_line(a, b, v, agreement)
                     assert line == dumps(verdict_record(a, b, v, agreement))
+
+
+def finding_record(f):
+    """A finding as the CLI wrote it through json.dumps before the fixed-key encoder."""
+    return {
+        "schema_version": 1,
+        "kind": "finding",
+        "claim": f.claim_id,
+        "a": f.a,
+        "b": f.b,
+        "modulus": f.modulus,
+        "x": f.x,
+        "literal_verdict": f.literal_verdict,
+        "oracle_verdict": f.oracle_verdict,
+        "discrepancy": f.discrepancy,
+        "note": f.note,
+    }
+
+
+def finding_line(f):
+    return cli._finding_line(f.claim_id, f.a, f.b, f.modulus, f.x,
+                             f.literal_verdict, f.oracle_verdict, f.note)
+
+
+class TestFindingLine:
+    def test_order2_findings(self):
+        findings = audit.audit_order2_congruence(8)
+        assert any(f.note.startswith("also represented by ") for f in findings)
+        for f in findings:
+            assert finding_line(f) == dumps(finding_record(f))
+
+    def test_odd_witness_literal_findings(self):
+        findings = audit.audit_odd_witness_variants(19, 1, 60)["literal"]
+        assert len(findings) > 0
+        for f in findings:
+            assert finding_line(f) == dumps(finding_record(f))
+
+    @pytest.mark.parametrize("name", ["order_oracle", "case_analysis", "sum_valuation"])
+    @pytest.mark.parametrize("good,truth", [(True, False), (False, True), (True, True)])
+    def test_crossval_finding(self, name, good, truth):
+        # (True, True): the flags agree on good but differ elsewhere, no discrepancy.
+        f = audit._finding(audit.CLAIM_CUSTOM, -7, 4, 2**63 - 25, 0, good, truth,
+                           note=f"{name} disagrees with brute force")
+        assert finding_line(f) == dumps(finding_record(f))
+
+    def test_negation_rows(self):
+        rows = 0
+        for d, x, k, y, t in audit.audit_negation_from_even_order(201):
+            for xi, ki, yi, ti in zip(x.tolist(), k.tolist(), y.tolist(), t.tolist()):
+                f = audit._finding(audit.CLAIM_NEGATION_FROM_EVEN_ORDER, xi, 1, d, xi,
+                                   False, True, f"order {ti}; pow(x, {ki}, {d}) = {yi}")
+                assert finding_line(f) == dumps(finding_record(f))
+                rows += 1
+        assert rows > 0
