@@ -226,7 +226,7 @@ def _odd_witness_pair_findings(task) -> tuple[list[AuditFinding], list[AuditFind
 
 # Largest accepted pair sweep, in pairs * ell_max**2: the brute-force scan
 # of one pair grows quadratically in ell_max, and criterion 02 (199 pairs,
-# ell_max 2000, about 8e8) takes tens of seconds on one core.
+# ell_max 2000, about 8e8) takes about 20 s on one core of a 2-core Xeon.
 _SWEEP_WORK_LIMIT = 10**9
 
 

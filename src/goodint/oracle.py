@@ -83,11 +83,16 @@ def brute_force_verdict(pair: Pair, ell: int) -> Verdict:
 def brute_force_sweep(pair: Pair, ell_max: int) -> list[Verdict]:
     """brute_force_verdict for every ell in 1..ell_max, vectorized.
 
-    One shared scan to k = 2*ell_max covers the scan of every modulus (to
-    k = 2*ell at most, as in brute_force_verdict); scanning past a modulus'
-    own bound cannot change its verdict because the witness set is
-    periodic.  Intermediate products must fit in int64, which holds
-    for ell_max < 2**31.
+    Each modulus is scanned to its own bound k = 2*ell, as in
+    brute_force_verdict, without the early stops (past them the witness set
+    only repeats).  The moduli ascend, so at step k the live ones are the
+    suffix from index (k - 1) // 2 and every array operation works on that
+    suffix.  A step tracks a**k and -b**k mod ell and counts a hit where
+    they are equal, which is ell | a**k + b**k.  The two per-step masks are
+    written into preallocated bool buffers: a fresh temporary of a new
+    length at every step would defeat numpy's small-block cache and raise
+    peak memory.  Intermediate products must fit in int64, which holds for
+    ell_max < 2**31.
     """
     if ell_max < 0:
         raise ValueError(f"ell_max must be non-negative, got {ell_max}")
@@ -99,20 +104,24 @@ def brute_force_sweep(pair: Pair, ell_max: int) -> list[Verdict]:
     a_red = pair.a % mods
     b_red = pair.b % mods
     pa = a_red.copy()
-    pb = b_red.copy()
+    nb = -pair.b % mods
     w_odd = np.zeros(ell_max, dtype=np.int64)
     w_even = np.zeros(ell_max, dtype=np.int64)
+    hit_buf = np.empty(ell_max, dtype=bool)
+    fresh_buf = np.empty(ell_max, dtype=bool)
     for k in range(1, 2 * ell_max + 1):
-        s = pa + pb
-        hit = (s == mods) | (s == 0)
+        lo = (k - 1) // 2
+        p, n, m = pa[lo:], nb[lo:], mods[lo:]
+        hit = np.equal(p, n, out=hit_buf[lo:])
         if hit.any():
-            tgt = w_odd if k & 1 else w_even
-            fresh = hit & (tgt == 0)
+            tgt = (w_odd if k & 1 else w_even)[lo:]
+            fresh = np.equal(tgt, 0, out=fresh_buf[lo:])
+            fresh &= hit
             tgt[fresh] = k
-        pa *= a_red
-        pa %= mods
-        pb *= b_red
-        pb %= mods
+        p *= a_red[lo:]
+        p %= m
+        n *= b_red[lo:]
+        n %= m
     out = []
     for i in range(ell_max):
         wo, we = int(w_odd[i]), int(w_even[i])

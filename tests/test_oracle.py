@@ -12,6 +12,10 @@ coprime_pairs = st.tuples(
     st.integers(-30, 30).filter(bool), st.integers(-30, 30).filter(bool)
 ).filter(lambda t: math.gcd(t[0], t[1]) == 1)
 
+large_coprime_pairs = st.tuples(
+    st.integers(-10**9, 10**9).filter(bool), st.integers(-10**9, 10**9).filter(bool)
+).filter(lambda t: math.gcd(t[0], t[1]) == 1)
+
 
 class TestBruteForce:
     def test_one_plus_two_mod_3(self):
@@ -152,3 +156,38 @@ class TestSweep:
 
     def test_empty_range(self):
         assert oracle.brute_force_sweep(Pair(1, 2), 0) == []
+
+    def test_suffix_boundaries(self):
+        # Each modulus leaves the scan after k = 2*ell; the smallest ell_max
+        # values and both parities of ell_max pin where the live suffix starts.
+        # (6, 35) has moduli sharing a factor with ab, which never hit.
+        for a, b in [(1, -1), (-1, 1), (2, 1), (-7, 4), (6, 35)]:
+            pair = Pair(a, b)
+            scanned = [witness_by_scan(a, b, ell, 4 * ell) for ell in range(1, 301)]
+            for ell_max in (1, 2, 3, 4, 5, 6, 299, 300):
+                swept = oracle.brute_force_sweep(pair, ell_max)
+                assert [v.ell for v in swept] == list(range(1, ell_max + 1))
+                for v, (w, w_odd, w_even) in zip(swept, scanned):
+                    assert v == oracle.brute_force_verdict(pair, v.ell), (a, b, ell_max, v.ell)
+                    assert (v.witness, v.oddly_good, v.evenly_good) == (
+                        w, w_odd is not None, w_even is not None), (a, b, ell_max, v.ell)
+
+    @given(large_coprime_pairs, st.integers(1, 400))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_scalar_for_large_and_negative_pairs(self, ab, n):
+        # The sweep reduces a and -b into each modulus with numpy's %, the
+        # scalar scan with Python's: both must land on the same residues.
+        pair = Pair(*ab)
+        assert oracle.brute_force_sweep(pair, n) == [
+            oracle.brute_force_verdict(pair, ell) for ell in range(1, n + 1)]
+
+    @pytest.mark.parametrize("ell_max", [-1, 2**31])
+    def test_refuses_bad_ell_max_before_allocating(self, monkeypatch, ell_max):
+        # 2**31 would overflow the int64 products of the scan.
+        class NoNumpy:
+            def __getattr__(self, name):
+                raise AssertionError(f"np.{name} used before the bound check")
+
+        monkeypatch.setattr(oracle, "np", NoNumpy())
+        with pytest.raises(ValueError):
+            oracle.brute_force_sweep(Pair(1, 2), ell_max)
