@@ -10,8 +10,8 @@ cache.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 FACTOR_INPUT_LIMIT = 2**63
 
@@ -40,12 +40,12 @@ class NotInvertibleError(ValueError):
         self.gcd = g
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(NamedTuple):
     """n = 2**beta * prod(p**e for p, e in odd_part).
 
     odd_part lists distinct odd primes in ascending order; beta == 0 exactly
-    when n is odd.
+    when n is odd.  A NamedTuple: immutable, hashable and picklable, and,
+    being a tuple, also equal to the plain tuple (n, beta, odd_part).
     """
 
     n: int

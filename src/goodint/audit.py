@@ -14,8 +14,7 @@ and is expected to stay silent.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -28,12 +27,13 @@ CLAIM_WHOLE_ORDER_VARIANT = "thm2_literal"
 CLAIM_CUSTOM = "custom"
 
 
-@dataclass(frozen=True)
-class AuditFinding:
+class AuditFinding(NamedTuple):
     """One audited instance: what the literal statement says vs. ground truth.
 
     Built by the list-returning scans (jitman_eq1, thm2_literal and the
     cross-validation sweep); audit_negation_from_even_order yields columns.
+    A NamedTuple: immutable, hashable and picklable, equal field by field,
+    and, being a tuple, also equal to a plain tuple of the same values.
     """
 
     claim_id: str
@@ -93,11 +93,15 @@ def order_table(pp: int) -> np.ndarray:
 def _pow_mod_vec(base: np.ndarray, exp: np.ndarray, mod: int) -> np.ndarray:
     """Elementwise base**exp mod `mod` (int64; mod**2 must fit in int64)."""
     result = np.ones_like(base)
+    tmp = np.empty_like(base)
     b = base % mod
     e = exp.copy()
     while e.any():
-        result = np.where(e & 1, result * b % mod, result)
-        b = b * b % mod
+        np.multiply(result, b, out=tmp)
+        tmp %= mod
+        np.copyto(result, tmp, where=(e & 1).astype(bool))
+        b *= b
+        b %= mod
         e >>= 1
     return result
 

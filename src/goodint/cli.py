@@ -77,7 +77,9 @@ def _finding_line(claim: str, a: int, b: int, modulus: int, x: int,
     are plain identifiers, and every note is built from integers and fixed
     words (inside audit, or from the jitman_eq2 columns in
     _write_negation_findings), so neither needs escaping.  discrepancy is
-    literal != oracle_v, as in AuditFinding.
+    literal != oracle_v, as in AuditFinding.  a, x and the note may be "%d"
+    placeholders, making the line a %-template for _write_negation_findings;
+    no other "%" can occur in it.
     """
     return (
         f'{{"schema_version":{SCHEMA_VERSION},"kind":"finding","claim":"{claim}",'
@@ -206,14 +208,18 @@ def _cmd_order(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _write_negation_findings(d_max: int) -> None:
-    """The jitman-eq2 findings, one write per modulus from its columns."""
+    """The jitman-eq2 findings, one write per modulus from its columns.
+
+    Each modulus gets one _finding_line template with %d in place of a, x
+    and the note's order, exponent and power, filled row by row.
+    """
     claim = audit.CLAIM_NEGATION_FROM_EVEN_ORDER
     for d, x, k, y, t in audit.audit_negation_from_even_order(d_max):
-        sys.stdout.write("".join([
-            _finding_line(claim, xi, 1, d, xi, False, True,
-                          f"order {ti}; pow(x, {ki}, {d}) = {yi}") + "\n"
-            for xi, ki, yi, ti in zip(x.tolist(), k.tolist(), y.tolist(), t.tolist())
-        ]))
+        line = _finding_line(claim, "%d", 1, d, "%d", False, True,
+                             f"order %d; pow(x, %d, {d}) = %d") + "\n"
+        xs = x.tolist()
+        sys.stdout.write("".join(map(line.__mod__,
+                                     zip(xs, xs, t.tolist(), k.tolist(), y.tolist()))))
 
 
 def _cmd_audit(args) -> int:

@@ -7,9 +7,9 @@ import math
 import os
 import signal
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import islice
+from typing import NamedTuple
 
 from . import arith
 
@@ -35,8 +35,7 @@ class Pair:
         return self.a % m * arith.mod_inverse(self.b, m) % m
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     """Classification of one modulus ell against a fixed pair.
 
     good means some k >= 1 has ell dividing a**k + b**k; oddly_good /
@@ -48,6 +47,10 @@ class Verdict:
     valuation-based classifiers: the common 2-adic valuation of the
     per-prime orders, and whether the order of a*b**-1 mod ell carries
     that same valuation.
+
+    A NamedTuple: immutable, hashable and picklable, equal field by field,
+    and, being a tuple, also equal to a plain tuple of the same values and
+    iterable over them.
     """
 
     ell: int
@@ -77,12 +80,15 @@ def parallel_map(fn, tasks, jobs: int):
     them all at the first submit, and keeps at most twice that many tasks in
     flight, so finished results never pile up ahead of a slow consumer.
     Closing the generator early cancels the tasks not yet started.  Workers
-    ignore SIGINT, so Ctrl-C interrupts the parent alone.
+    ignore SIGINT, so Ctrl-C interrupts the parent alone.  The pool module
+    (and multiprocessing with it) is imported only when a pool is started.
     """
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
     if workers <= 1:
         yield from map(fn, tasks)
         return
+    from concurrent.futures import ProcessPoolExecutor
+
     pool = ProcessPoolExecutor(max_workers=workers, initializer=_ignore_sigint)
     try:
         rest = iter(tasks)

@@ -123,10 +123,9 @@ def brute_force_sweep(pair: Pair, ell_max: int) -> list[Verdict]:
         n *= b_red[lo:]
         n %= m
     out = []
-    for i in range(ell_max):
-        wo, we = int(w_odd[i]), int(w_even[i])
+    for ell, (wo, we) in enumerate(zip(w_odd.tolist(), w_even.tolist()), 1):
         witness = min(w for w in (wo, we) if w) if (wo or we) else None
         out.append(
-            Verdict(i + 1, witness is not None, wo > 0, we > 0, witness, "brute_force")
+            Verdict(ell, witness is not None, wo > 0, we > 0, witness, "brute_force")
         )
     return out

@@ -1,5 +1,9 @@
+import concurrent.futures
 import math
 import os
+import pickle
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -227,7 +231,7 @@ class TestParallelMap:
             def shutdown(self, cancel_futures):
                 stats["cancelled"] = cancel_futures
 
-        monkeypatch.setattr(core, "ProcessPoolExecutor", Pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         return stats
 
@@ -249,6 +253,53 @@ class TestParallelMap:
         out = list(core.parallel_map(abs, range(-tasks, 0), 10**9))
         assert out == list(range(tasks, 0, -1))
         assert stats["workers"] == workers and stats["peak"] == peak
+
+    def test_import_loads_no_pool_machinery(self):
+        # The pool is imported only when parallel_map starts one, so a
+        # --jobs 1 run never pays for multiprocessing.
+        code = ("import sys, goodint.cli; "
+                "print(sorted(m for m in ('multiprocessing', 'concurrent.futures.process') "
+                "if m in sys.modules))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
+
+
+RECORDS = [
+    (core.Verdict(9, True, True, False, 3, "theorem"),
+     {"s_val2": None, "order_claim_ok": None}),
+    (arith.Factorization(360, 3, ((3, 2), (5, 1))), {}),
+    (audit.AuditFinding("jitman_eq2", 11, 1, 15, 11, False, True, True),
+     {"note": ""}),
+]
+
+
+class TestRecords:
+    @pytest.mark.parametrize("record,defaults", RECORDS)
+    def test_immutable_picklable_and_defaulted(self, record, defaults):
+        with pytest.raises(AttributeError):
+            setattr(record, record._fields[0], 0)
+        copy = pickle.loads(pickle.dumps(record))
+        assert copy == record and type(copy) is type(record)
+        assert hash(copy) == hash(record)
+        for name, value in defaults.items():
+            assert getattr(record, name) == value
+
+    @pytest.mark.parametrize("record", [record for record, _ in RECORDS])
+    def test_is_a_tuple_of_its_fields(self, record):
+        values = tuple(getattr(record, name) for name in record._fields)
+        assert record == values and list(record) == list(values)
+
+    def test_verdict_flags(self):
+        assert RECORDS[0][0].flags() == (True, True, False)
+
+    def test_factorization_methods(self):
+        f = RECORDS[1][0]
+        assert f == arith.factorize(360)
+        assert f.odd_value == 45
+        assert f.prime_items() == ((2, 3), (3, 2), (5, 1))
+        assert f.prime_powers() == (8, 9, 5)
+        assert arith.factorize(45).prime_powers() == (9, 5)
 
 
 class TestCrossval:

@@ -224,6 +224,18 @@ class TestAudit:
             t = order_by_scan(x, d)
             assert r["note"] == f"order {t}; pow(x, {t // 2}, {d}) = {pow(x, t // 2, d)}"
 
+    def test_negation_stdout_matches_row_encoding(self):
+        claim = audit.CLAIM_NEGATION_FROM_EVEN_ORDER
+        expected = "".join(
+            cli._finding_line(claim, xi, 1, d, xi, False, True,
+                              f"order {ti}; pow(x, {ki}, {d}) = {yi}") + "\n"
+            for d, x, k, y, t in audit.audit_negation_from_even_order(201)
+            for xi, ki, yi, ti in zip(x.tolist(), k.tolist(), y.tolist(), t.tolist())
+        )
+        proc = run_cli("audit", "--claim", "jitman-eq2", "--d-max", "201")
+        assert proc.returncode == 0
+        assert expected and proc.stdout == expected
+
     def test_whole_order_claim_includes_19_1_60(self):
         proc = run_cli("audit", "--claim", "thm2-literal", "--a-max", "19",
                        "--b-max", "1", "--ell-max", "60")
