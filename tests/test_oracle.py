@@ -147,7 +147,8 @@ class TestEquivalence:
 
 class TestSweep:
     def test_matches_scalar(self):
-        for a, b in [(1, 2), (3, 5), (11, 1), (2, 9), (-3, 5)]:
+        # The last two operands do not fit numpy's int64.
+        for a, b in [(1, 2), (3, 5), (11, 1), (2, 9), (-3, 5), (3**40, 2), (-(2**64) - 1, 3)]:
             pair = Pair(a, b)
             swept = oracle.brute_force_sweep(pair, 300)
             assert len(swept) == 300
@@ -175,8 +176,8 @@ class TestSweep:
     @given(large_coprime_pairs, st.integers(1, 400))
     @settings(max_examples=100, deadline=None)
     def test_matches_scalar_for_large_and_negative_pairs(self, ab, n):
-        # The sweep reduces a and -b into each modulus with numpy's %, the
-        # scalar scan with Python's: both must land on the same residues.
+        # The sweep and the scalar scan reduce a and -b into each modulus
+        # separately: both must land on the same residues.
         pair = Pair(*ab)
         assert oracle.brute_force_sweep(pair, n) == [
             oracle.brute_force_verdict(pair, ell) for ell in range(1, n + 1)]
