@@ -10,11 +10,8 @@ JSON-lines CLI.
 
 from .arith import (
     Factorization,
-    NotInvertibleError,
-    carmichael_lambda,
     factorize,
     is_prime,
-    mod_inverse,
     multiplicative_order,
     nu2,
     smallest_negation_exponent,
@@ -26,7 +23,7 @@ from .audit import (
     audit_order2_congruence,
     crossval_sweep,
 )
-from .classify import common_order_val2, is_good, is_good_via_sum_valuation
+from .classify import is_good, is_good_via_sum_valuation
 from .core import Pair, Verdict
 from .oracle import brute_force_sweep, brute_force_verdict, order_oracle_verdict
 
@@ -35,7 +32,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AuditFinding",
     "Factorization",
-    "NotInvertibleError",
     "Pair",
     "Verdict",
     "audit_negation_from_even_order",
@@ -43,14 +39,11 @@ __all__ = [
     "audit_order2_congruence",
     "brute_force_sweep",
     "brute_force_verdict",
-    "carmichael_lambda",
-    "common_order_val2",
     "crossval_sweep",
     "factorize",
     "is_good",
     "is_good_via_sum_valuation",
     "is_prime",
-    "mod_inverse",
     "multiplicative_order",
     "nu2",
     "order_oracle_verdict",

@@ -32,14 +32,6 @@ _TRIAL_PRIMES = tuple(
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
-class NotInvertibleError(ValueError):
-    """Requested inverse does not exist; `.gcd` holds the offending gcd."""
-
-    def __init__(self, b: int, m: int, g: int):
-        super().__init__(f"{b} is not invertible modulo {m} (gcd {g})")
-        self.gcd = g
-
-
 class Factorization(NamedTuple):
     """n = 2**beta * prod(p**e for p, e in odd_part).
 
@@ -66,16 +58,6 @@ class Factorization(NamedTuple):
     def prime_powers(self) -> tuple[int, ...]:
         """Maximal prime-power divisors, the 2-part first when present."""
         return tuple(p**e for p, e in self.prime_items())
-
-
-def mod_inverse(b: int, m: int) -> int:
-    """The unique r in [0, m) with b*r = 1 (mod m)."""
-    if m < 1:
-        raise ValueError(f"modulus must be positive, got {m}")
-    g = math.gcd(b, m)
-    if g != 1:
-        raise NotInvertibleError(b, m, g)
-    return pow(b, -1, m)
 
 
 def nu2(n: int) -> int:
@@ -245,18 +227,13 @@ def smallest_negation_exponent(x: int, m: int) -> int | None:
     """Smallest k >= 1 with x**k = -1 (mod m), or None when no k works.
 
     -1 can only sit in the cyclic group <x> as its unique element of order
-    2, so the candidate is half the order of x; moduli 1 and 2 (where
-    -1 = 1) answer 1.
+    2, so the candidate is half the order of x, read from m's own
+    factorization by multiplicative_order (which also rejects m < 1 and
+    gcd(x, m) > 1); moduli 1 and 2 (where -1 = 1) answer 1.
     """
-    if m < 1:
-        raise ValueError(f"modulus must be positive, got {m}")
-    x %= m
-    g = math.gcd(x, m)
-    if g != 1:
-        raise ValueError(f"negation exponent undefined: gcd({x}, {m}) = {g}")
+    t = multiplicative_order(x, m)
     if m <= 2:
         return 1
-    t = multiplicative_order(x, m)
     if t % 2 == 1:
         return None
     k = t // 2

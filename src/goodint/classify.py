@@ -6,7 +6,8 @@ oddly-good answer is read from Verdict.oddly_good.  Write ell = 2**beta * d
 with d odd and x = a*b**-1.  The 2-part passes when x = -1 (mod 2**beta)
 (the theorem, is_good) or beta <= nu2(a + b) (the corollary, odd pairs
 only, is_good_via_sum_valuation).  The odd part passes through the common
-2-adic valuation s of the per-prime orders Ord_p(x), p | d: s >= 1
+2-adic valuation s of the per-prime orders Ord_p(x), p | d, read from
+the factorization of ell itself, with x reduced mod ell once: s >= 1
 suffices when beta <= 1, s == 1 is needed when beta >= 2, and s == 1 (or
 d == 1) is exactly what makes a witness odd.  A good ell costs one more
 order, t = Ord_ell(x), whose half is the smallest witness; the deciders
@@ -35,13 +36,6 @@ from . import arith
 from .core import Pair, Verdict
 
 
-def common_order_val2(pair: Pair, d: int) -> int | None:
-    """The shared valuation s when every prime p | d has 2**s || Ord_p, else None."""
-    vals = {arith.nu2(arith.multiplicative_order(pair.residue(p), p))
-            for p, _ in arith.factorize(d).odd_part}
-    return vals.pop() if len(vals) == 1 else None
-
-
 def _decide(pair: Pair, ell: int, method: str) -> Verdict:
     """The membership table; method picks the 2-part test (theorem or corollary).
 
@@ -57,6 +51,7 @@ def _decide(pair: Pair, ell: int, method: str) -> Verdict:
         return Verdict(ell, False, False, False, None, method)
     if ell <= 2:
         return Verdict(ell, True, True, True, 1, method)
+    x = pair.residue(ell)
     f = arith.factorize(ell)
     beta, d = f.beta, f.odd_value
     if corollary:
@@ -64,13 +59,17 @@ def _decide(pair: Pair, ell: int, method: str) -> Verdict:
         two_ok = total == 0 or beta <= arith.nu2(total)
     else:
         m = 1 << beta
-        two_ok = beta <= 1 or pair.residue(m) == m - 1
-    s = common_order_val2(pair, d) if d > 1 and (two_ok or corollary) else None
+        two_ok = beta <= 1 or x % m == m - 1
+    s = None
+    if d > 1 and (two_ok or corollary):
+        # s is shared only when every prime p | d gives the same valuation.
+        vals = {arith.nu2(arith.multiplicative_order(x, p)) for p, _ in f.odd_part}
+        s = vals.pop() if len(vals) == 1 else None
     oddly = two_ok and (d == 1 or s == 1)
     good = oddly or (two_ok and beta <= 1 and s is not None and s >= 1)
     witness = claim_ok = None
     if good:
-        t = arith.multiplicative_order(pair.residue(ell), ell)
+        t = arith.multiplicative_order(x, ell)
         witness = t // 2
         if corollary and d > 1:
             claim_ok = arith.nu2(t) == s

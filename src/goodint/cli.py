@@ -96,12 +96,6 @@ def _write_findings(findings) -> None:
                                        f.literal_verdict, f.oracle_verdict, f.note) + "\n")
 
 
-def _resolve_jobs(flag: int | None) -> int:
-    if flag is not None:
-        return max(1, flag)
-    return os.cpu_count() or 1
-
-
 # ---------------------------------------------------------------------------
 # classify
 # ---------------------------------------------------------------------------
@@ -170,13 +164,12 @@ def _cmd_enumerate(args) -> int:
     if args.max < 0 or args.max > ENUM_LIMIT:
         raise ValueError(f"--max must be in 0..{ENUM_LIMIT}, got {args.max}")
     Pair(args.a, args.b)  # validate before spawning workers
-    jobs = _resolve_jobs(args.jobs)
     tasks = [
         (args.a, args.b, lo, min(lo + _CHUNK, args.max + 1), args.filter)
         for lo in range(1, args.max + 1, _CHUNK)
     ]
     # closing(): on a closed pipe, drop the chunks not yet started.
-    with closing(parallel_map(_enumerate_chunk, tasks, jobs)) as chunks:
+    with closing(parallel_map(_enumerate_chunk, tasks, args.jobs)) as chunks:
         for chunk in chunks:
             for line in chunk:
                 sys.stdout.write(line + "\n")
@@ -223,7 +216,6 @@ def _write_negation_findings(d_max: int) -> None:
 
 
 def _cmd_audit(args) -> int:
-    jobs = _resolve_jobs(args.jobs)
     if args.claim == "jitman-eq1":
         _write_findings(audit.audit_order2_congruence(args.beta))
         return EXIT_OK
@@ -232,10 +224,10 @@ def _cmd_audit(args) -> int:
         return EXIT_OK
     if args.claim == "thm2-literal":
         findings = audit.audit_odd_witness_variants(
-            args.a_max, args.b_max, args.ell_max, jobs=jobs)["literal"]
+            args.a_max, args.b_max, args.ell_max, jobs=args.jobs)["literal"]
         _write_findings(sorted(findings, key=lambda f: (f.modulus, f.a, f.b)))
         return EXIT_OK
-    findings = audit.crossval_sweep(args.a_max, args.b_max, args.ell_max, jobs=jobs)
+    findings = audit.crossval_sweep(args.a_max, args.b_max, args.ell_max, jobs=args.jobs)
     _write_findings(sorted(findings, key=lambda f: (f.modulus, f.a, f.b)))
     return EXIT_DISCREPANCY if findings else EXIT_OK
 
@@ -262,7 +254,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--max", type=int, required=True)
     p.add_argument("--filter", choices=("good", "oddly", "evenly", "bad", "all"),
                    default="all")
-    p.add_argument("--jobs", type=int, default=None,
+    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
                    help="worker processes (default: CPU count)")
     p.set_defaults(fn=_cmd_enumerate)
 
@@ -280,7 +272,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--a-max", type=int, default=25)
     p.add_argument("--b-max", type=int, default=25)
     p.add_argument("--ell-max", type=int, default=200)
-    p.add_argument("--jobs", type=int, default=None)
+    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
     p.set_defaults(fn=_cmd_audit)
     return parser
 

@@ -11,8 +11,6 @@ from dataclasses import dataclass, field
 from itertools import islice
 from typing import NamedTuple
 
-from . import arith
-
 
 @dataclass(frozen=True)
 class Pair:
@@ -31,8 +29,8 @@ class Pair:
         object.__setattr__(self, "ab_odd", bool(self.a & 1 and self.b & 1))
 
     def residue(self, m: int) -> int:
-        """a * b**-1 canonicalized mod m; requires gcd(b, m) = 1."""
-        return self.a % m * arith.mod_inverse(self.b, m) % m
+        """a * b**-1 canonicalized mod m >= 1; ValueError when gcd(b, m) > 1."""
+        return self.a % m * pow(self.b, -1, m) % m
 
 
 class Verdict(NamedTuple):

@@ -25,15 +25,11 @@ def order_oracle_verdict(pair: Pair, ell: int) -> Verdict:
     """
     if ell < 1:
         raise ValueError(f"ell must be positive, got {ell}")
-    if ell == 1:
-        return Verdict(1, True, True, True, 1, "oracle")
-    if ell == 2:
-        if pair.ab_odd:
-            return Verdict(2, True, True, True, 1, "oracle")
-        return Verdict(2, False, False, False, None, "oracle")
     if math.gcd(pair.a * pair.b, ell) != 1:
         # A shared prime would have to divide both a and b.
         return Verdict(ell, False, False, False, None, "oracle")
+    if ell <= 2:
+        return Verdict(ell, True, True, True, 1, "oracle")
     k = arith.smallest_negation_exponent(pair.residue(ell), ell)
     if k is None:
         return Verdict(ell, False, False, False, None, "oracle")

@@ -11,29 +11,6 @@ from conftest import (EDGE_MODULI, EDGE_RESIDUES, factor_by_trial, negation_by_s
                       order_by_scan)
 
 
-class TestModInverse:
-    def test_five_mod_eight(self):
-        assert arith.mod_inverse(5, 8) == 5
-
-    def test_identity(self):
-        assert arith.mod_inverse(1, 97) == 1
-
-    def test_not_invertible_carries_gcd(self):
-        with pytest.raises(arith.NotInvertibleError) as exc:
-            arith.mod_inverse(3, 9)
-        assert exc.value.gcd == 3
-
-    @given(st.integers(-10**6, 10**6), st.integers(1, 10**5))
-    def test_round_trip(self, b, m):
-        if math.gcd(b, m) != 1:
-            with pytest.raises(arith.NotInvertibleError):
-                arith.mod_inverse(b, m)
-            return
-        r = arith.mod_inverse(b, m)
-        assert 0 <= r < m
-        assert b * r % m == 1 % m
-
-
 class TestFactorize:
     def test_small(self):
         f = arith.factorize(60)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from goodint import arith, audit, classify, oracle
+from goodint import arith, audit, classify, core, oracle
 from goodint.core import Pair
 
 odd_coprime_pairs = st.tuples(
@@ -35,6 +35,19 @@ class TestPair:
         assert Pair(3, 5).residue(8) == 7
         assert Pair(11, 1).residue(8) == 3
         assert Pair(1, -1).residue(10) == 9
+
+    @given(st.integers(-10**6, 10**6).filter(bool),
+           st.integers(-10**6, 10**6).filter(bool), st.integers(1, 10**5))
+    def test_residue_round_trip(self, a, b, m):
+        if math.gcd(a, b) != 1 or math.gcd(b, m) != 1:
+            return
+        r = Pair(a, b).residue(m)
+        assert 0 <= r < m
+        assert r * b % m == a % m
+
+    def test_residue_needs_b_invertible(self):
+        with pytest.raises(ValueError):
+            Pair(1, 3).residue(9)
 
 
 class TestPowerOfTwoEquivalence:
@@ -239,7 +252,7 @@ class TestSumValuationDeciders:
         v = classify.is_good_via_sum_valuation(pair, ell)
         if not v.good:
             return
-        s = classify.common_order_val2(pair, f.odd_value)
+        s = v.s_val2
         whole = arith.nu2(arith.multiplicative_order(pair.residue(ell), ell))
         assert s is not None and whole == s
 
@@ -253,6 +266,7 @@ class TestSingleTable:
             raise AssertionError("a decider called the order oracle")
 
         assert not hasattr(classify, "oracle")
+        assert not hasattr(core, "arith")
         monkeypatch.setattr(oracle, "order_oracle_verdict", refuse)
         for a, b, ell in self.CASES:
             pair = Pair(a, b)

@@ -285,6 +285,22 @@ class TestAudit:
         assert proc.returncode == 1
 
 
+class TestNonPositiveJobs:
+    # --jobs 0 and negative counts run serially, like --jobs 1.
+    @pytest.mark.parametrize("argv", [
+        ["enumerate", "--a", "3", "--b", "5", "--max", "300"],
+        ["audit", "--claim", "crossval", "--a-max", "4", "--b-max", "5", "--ell-max", "60"],
+        ["audit", "--claim", "thm2-literal", "--a-max", "21", "--b-max", "3",
+         "--ell-max", "60"],
+    ], ids=["enumerate", "crossval", "thm2-literal"])
+    def test_same_as_one_job(self, argv, capsys):
+        runs = []
+        for jobs in ("1", "0", "-3"):
+            code = cli.main([*argv, "--jobs", jobs])
+            runs.append((code, capsys.readouterr().out))
+        assert runs[1] == runs[2] == runs[0]
+
+
 def verdict_record(a, b, v, agreement=None):
     """The record dict that json.dumps encoded before the line encoder."""
     rec = {
