@@ -15,17 +15,35 @@ from typing import NamedTuple
 
 FACTOR_INPUT_LIMIT = 2**63
 
-# Trial division by the odd primes below 2**10, stopping once p * p exceeds
-# the cofactor.  What is left then has no prime factor below 2**10, so
-# below 2**20 it is 1 or prime and needs no primality test; only a larger
-# cofactor goes on to Miller-Rabin and Pollard rho, which beat a longer
-# Python loop.
+# factorize works on the odd part m of n in three tiers.
+#
+# 1. Below 2**16, m's factors are read off _SPF: the smallest odd prime
+#    factor of each odd composite below 2**16, 0 for 1 and the primes.  Such
+#    a factor is at most 251, so one byte per entry suffices (64 KiB).
+# 2. Above that, trial division by the odd primes below 2**10, stopping once
+#    p * p exceeds the cofactor.  What is left then has no prime factor below
+#    2**10, so below 2**20 it is 1 or prime and needs no primality test.
+# 3. Only a larger cofactor goes on to Miller-Rabin, the perfect-square split
+#    and Pollard rho, which beat a longer Python loop.
+_SPF_LIMIT = 2**16
 _TRIAL_LIMIT = 2**10
 _TRIAL_SQUARE = _TRIAL_LIMIT * _TRIAL_LIMIT
 _TRIAL_PRIMES = tuple(
     p for p in range(3, _TRIAL_LIMIT, 2)
     if all(p % q for q in range(3, math.isqrt(p) + 1, 2))
 )
+
+
+def _spf_table() -> bytes:
+    """The _SPF table: each odd prime p with p * p < 2**16 marks its odd
+    multiples from p * p on, largest p first, so the smallest one stays."""
+    spf = bytearray(_SPF_LIMIT)
+    for p in reversed([p for p in _TRIAL_PRIMES if p * p < _SPF_LIMIT]):
+        spf[p * p::2 * p] = bytes([p]) * len(range(p * p, _SPF_LIMIT, 2 * p))
+    return bytes(spf)
+
+
+_SPF = _spf_table()
 
 # Witnesses making Miller-Rabin deterministic for all n < 3.3 * 10**24,
 # which covers every input we accept.
@@ -143,11 +161,12 @@ def _split(m: int, out: dict[int, int]) -> None:
 def factorize(n: int) -> Factorization:
     """Complete factorization of n, 1 <= n <= 2**63.
 
-    Trial division by the odd primes below 2**10 stops as soon as p * p
-    exceeds the cofactor.  A cofactor below 2**20 is then 1 or prime; a
-    larger one is a prime (deterministic Miller-Rabin), a perfect square
-    (split on its integer root) or split by Pollard rho, so results are
-    reproducible.
+    An odd part below 2**16 is read off the smallest-prime-factor table.
+    A larger one goes to trial division by the odd primes below 2**10,
+    which stops as soon as p * p exceeds the cofactor.  A cofactor below
+    2**20 is then 1 or prime; a larger one is a prime (deterministic
+    Miller-Rabin), a perfect square (split on its integer root) or split by
+    Pollard rho, so results are reproducible.
     """
     if n < 1:
         raise ValueError(f"cannot factor non-positive {n}")
@@ -156,6 +175,12 @@ def factorize(n: int) -> Factorization:
     beta = nu2(n) if n > 1 else 0
     m = n >> beta
     fac: dict[int, int] = {}
+    if m < _SPF_LIMIT:
+        while m > 1:  # the smallest factor first, so fac stays ascending
+            p = _SPF[m] or m
+            m //= p
+            fac[p] = fac.get(p, 0) + 1
+        return Factorization(n, beta, tuple(fac.items()))
     for p in _TRIAL_PRIMES:
         if p * p > m:
             break
@@ -188,15 +213,27 @@ def carmichael_lambda(n: int) -> int:
 
 
 @lru_cache(maxsize=1 << 16)
-def _prime_power_order(x: int, pp: int) -> int:
-    """Order of x mod the prime power pp, for x in [0, pp) coprime to pp.
+def _prime_power_order(x: int, p: int, e: int) -> int:
+    """Order of x mod p**e, for x in [0, p**e) coprime to p.
 
-    Starts from the Carmichael bound of pp and peels prime factors, so it
-    never scans linearly.
+    Starts from the Carmichael bound t = lambda(p**e) and peels its prime
+    factors, so it never scans linearly.  For odd p, t = p**(e-1) * (p-1)
+    and its primes are those of p - 1 plus p itself when e > 1: p is known
+    here, so t is never factored whole, which for a large p would send the
+    cofactor p * (p-1) / 2**k to Pollard rho only to find p again.  Powers
+    of two read t from carmichael_lambda.
     """
-    t = carmichael_lambda(pp)
-    for q, e in factorize(t).prime_items():
-        for _ in range(e):
+    if p == 2:
+        t = carmichael_lambda(1 << e)
+        items = factorize(t).prime_items()
+    else:
+        t = p ** (e - 1) * (p - 1)
+        items = factorize(p - 1).prime_items()
+        if e > 1:
+            items += ((p, e - 1),)
+    pp = p**e
+    for q, k in items:
+        for _ in range(k):
             if pow(x, t // q, pp) == 1:
                 t //= q
             else:
@@ -207,9 +244,9 @@ def _prime_power_order(x: int, pp: int) -> int:
 def multiplicative_order(x: int, m: int) -> int:
     """Smallest t >= 1 with x**t = 1 (mod m).  Requires gcd(x, m) = 1.
 
-    The lcm of the orders of x mod each maximal prime power of m.  Those
-    are cached per (x mod pp, pp), so a fixed x over a range of moduli
-    computes the order mod each prime power once.
+    The lcm of the orders of x mod each maximal prime power p**e of m.
+    Those are cached per (x mod p**e, p, e), so a fixed x over a range of
+    moduli computes the order mod each prime power once.
     """
     if m < 1:
         raise ValueError(f"modulus must be positive, got {m}")
@@ -219,8 +256,8 @@ def multiplicative_order(x: int, m: int) -> int:
         raise ValueError(f"order undefined: gcd({x}, {m}) = {g}")
     if m <= 2:
         return 1
-    return math.lcm(*[_prime_power_order(x % pp, pp)
-                      for pp in factorize(m).prime_powers()])
+    return math.lcm(*[_prime_power_order(x % p**e, p, e)
+                      for p, e in factorize(m).prime_items()])
 
 
 def smallest_negation_exponent(x: int, m: int) -> int | None:

@@ -93,6 +93,11 @@ def scan_negation():
 
 @pytest.fixture
 def cold_caches():
-    """Empty arith's memo caches, so a test times or probes uncached work."""
-    for cached in (arith.factorize, arith.carmichael_lambda, arith._prime_power_order):
-        cached.cache_clear()
+    """Empty every lru_cache in arith, so a test times or probes uncached work.
+
+    The caches are found by introspection, so a new one cannot stay warm
+    unnoticed; constant tables such as arith._SPF are not caches.
+    """
+    for obj in vars(arith).values():
+        if hasattr(obj, "cache_clear"):
+            obj.cache_clear()

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from goodint import arith
+from goodint import arith, classify, oracle
+from goodint.core import Pair
 from conftest import (EDGE_MODULI, EDGE_RESIDUES, factor_by_trial, negation_by_scan,
                       order_by_scan)
 
@@ -66,6 +67,24 @@ class TestFactorize:
             got = {2: f.beta} if f.beta else {}
             got.update(f.odd_part)
             assert got == factor_by_trial(n), n
+
+    def test_table_tier_matches_trial_division(self, cold_caches):
+        # Every odd m below 2**16: the table holds m's smallest prime factor
+        # (0 for 1 and the primes), and factorize reads m off it.
+        for m in range(1, arith._SPF_LIMIT, 2):
+            expected = factor_by_trial(m)
+            spf = min(expected) if sum(expected.values()) > 1 else 0
+            assert arith._SPF[m] == spf, m
+            assert arith.factorize(m) == (m, 0, tuple(sorted(expected.items()))), m
+
+    @pytest.mark.parametrize("n", [
+        2**16 - 1, 2**16 + 1, 65521, 251**2, 257**2,  # 257**2 is past the table
+        2**40 * 65521, 2**47 * (2**16 - 1), 2**20 * 251**2, 2**30 * 257**2, 2**61 * 3,
+    ])
+    def test_table_boundaries(self, cold_caches, n):
+        expected = factor_by_trial(n)
+        beta = expected.pop(2, 0)
+        assert arith.factorize(n) == (n, beta, tuple(sorted(expected.items())))
 
     @given(st.integers(1, 2**63))
     @settings(max_examples=100)
@@ -186,6 +205,40 @@ class TestMultiplicativeOrder:
         for beta in range(2, 12):
             m = 1 << beta
             assert arith.multiplicative_order(m - 1, m) == 2
+
+
+class TestKnownPrimeLambda:
+    """The order mod p**e factors lambda(p**e) = p**(e-1) * (p-1) from p - 1
+    and the known p, never whole: for p = 10**9 + 7 the whole lambda(p**2)
+    has the cofactor p * (p-1)/2, which would go to Pollard rho."""
+
+    P = 10**9 + 7
+    M = P * P
+
+    @pytest.fixture
+    def no_rho(self, cold_caches, monkeypatch):
+        def refuse(n):
+            raise AssertionError(f"_pollard_rho({n}) called")
+
+        monkeypatch.setattr(arith, "_pollard_rho", refuse)
+
+    def test_prime_square_order(self, no_rho):
+        p, m = self.P, self.M
+        t = arith.multiplicative_order(3, m)
+        assert p * (p - 1) % t == 0 and pow(3, t, m) == 1
+        for q in (2, (p - 1) // 2, p):  # the primes of lambda(p**2)
+            if t % q == 0:
+                assert pow(3, t // q, m) != 1
+
+    @pytest.mark.parametrize("a", [3, 5])
+    def test_prime_square_verdicts(self, no_rho, a):
+        m = self.M
+        t = arith.multiplicative_order(a, m)
+        half = t // 2 if t % 2 == 0 and pow(a, t // 2, m) == m - 1 else None
+        for v in (oracle.order_oracle_verdict(Pair(a, 1), m), classify.is_good(Pair(a, 1), m)):
+            assert (v.good, v.witness) == (half is not None, half)
+            if half is not None:
+                assert (pow(a, half, m) + 1) % m == 0 and v.oddly_good == half % 2
 
 
 def _random_prime(rng: random.Random, bits: int) -> int:
