@@ -216,21 +216,16 @@ def carmichael_lambda(n: int) -> int:
 def _prime_power_order(x: int, p: int, e: int) -> int:
     """Order of x mod p**e, for x in [0, p**e) coprime to p.
 
-    Starts from the Carmichael bound t = lambda(p**e) and peels its prime
-    factors, so it never scans linearly.  For odd p, t = p**(e-1) * (p-1)
-    and its primes are those of p - 1 plus p itself when e > 1: p is known
-    here, so t is never factored whole, which for a large p would send the
-    cofactor p * (p-1) / 2**k to Pollard rho only to find p again.  Powers
-    of two read t from carmichael_lambda.
+    Starts from the group order t = p**(e-1) * (p-1), which every order
+    mod p**e divides, and peels its prime factors, so it never scans
+    linearly.  Those primes are the ones of p - 1 plus p itself when e > 1:
+    p is known here, so t is never factored whole, which for a large p would
+    send the cofactor p * (p-1) / 2**k to Pollard rho only to find p again.
     """
-    if p == 2:
-        t = carmichael_lambda(1 << e)
-        items = factorize(t).prime_items()
-    else:
-        t = p ** (e - 1) * (p - 1)
-        items = factorize(p - 1).prime_items()
-        if e > 1:
-            items += ((p, e - 1),)
+    t = p ** (e - 1) * (p - 1)
+    items = factorize(p - 1).prime_items()
+    if e > 1:
+        items += ((p, e - 1),)
     pp = p**e
     for q, k in items:
         for _ in range(k):

@@ -3,7 +3,7 @@ import random
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from goodint import arith, classify, oracle
@@ -44,6 +44,12 @@ class TestFactorize:
 
     @given(st.integers(1, 10**6))
     @settings(max_examples=300)
+    @example(65521)  # the largest prime below 2**16, the end of the table
+    @example(251**2)  # the largest smallest-prime-factor the table holds
+    @example(2**47 * (2**16 - 1))  # a small odd part under a large 2-part
+    @example(2**40 * 65521)
+    @example(2**16 + 1)  # past the table: trial division
+    @example(257**2)
     def test_matches_trial_division(self, n):
         f = arith.factorize(n)
         expected = factor_by_trial(n)
@@ -76,15 +82,6 @@ class TestFactorize:
             spf = min(expected) if sum(expected.values()) > 1 else 0
             assert arith._SPF[m] == spf, m
             assert arith.factorize(m) == (m, 0, tuple(sorted(expected.items()))), m
-
-    @pytest.mark.parametrize("n", [
-        2**16 - 1, 2**16 + 1, 65521, 251**2, 257**2,  # 257**2 is past the table
-        2**40 * 65521, 2**47 * (2**16 - 1), 2**20 * 251**2, 2**30 * 257**2, 2**61 * 3,
-    ])
-    def test_table_boundaries(self, cold_caches, n):
-        expected = factor_by_trial(n)
-        beta = expected.pop(2, 0)
-        assert arith.factorize(n) == (n, beta, tuple(sorted(expected.items())))
 
     @given(st.integers(1, 2**63))
     @settings(max_examples=100)

@@ -50,14 +50,6 @@ def test_factorize_matches_factorint(n):
     assert _as_dict(arith.factorize(n)) == sympy.factorint(n)
 
 
-@given(st.integers(0, 47), st.integers(1, 2**16 - 1))
-@settings(max_examples=200, deadline=None)
-def test_small_odd_part_matches_factorint(k, m):
-    # The odd part is below 2**16, so factorize reads it off its table.
-    n = 2**k * m
-    assert _as_dict(arith.factorize(n)) == sympy.factorint(n)
-
-
 @given(st.one_of(rho_inputs, big_primes, st.integers(0, 10**6)))
 @settings(max_examples=300, deadline=None)
 @example(3215031751)  # strong pseudoprime to bases 2, 3, 5 and 7
