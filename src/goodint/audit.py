@@ -74,19 +74,26 @@ def primitive_root(pp: int) -> int:
 def order_table(pp: int) -> np.ndarray:
     """Orders of all residues mod the odd prime power pp (1 where undefined).
 
-    Built by walking the powers of a primitive root, so entries come from
-    the group structure itself: Ord(g**j) = n / gcd(n, j).
+    Built by walking the powers of a primitive root g, so entries come from
+    the group structure itself: Ord(g**j) = n / gcd(n, j) with n = phi(pp).
+    The powers double at each step, g**(s+i) = g**i * g**s, and n / gcd(n, j)
+    is n divided by q once for each prime power q**i | n that divides j.
     """
     p = arith.factorize(pp).odd_part[0][0]
     n = pp - pp // p
     g = primitive_root(pp)
     pows = np.empty(n, dtype=np.int64)
-    v = 1
-    for j in range(n):
-        pows[j] = v
-        v = v * g % pp
+    pows[0] = 1
+    s, gs = 1, g
+    while s < n:
+        pows[s:2 * s] = pows[:min(s, n - s)] * gs % pp
+        s, gs = 2 * s, gs * gs % pp
+    ords = np.full(n, n, dtype=np.int64)
+    for q, e in arith.factorize(n).prime_items():
+        for i in range(1, e + 1):
+            ords[::q**i] //= q
     tab = np.ones(pp, dtype=np.int64)
-    tab[pows] = n // np.gcd(n, np.arange(n, dtype=np.int64))
+    tab[pows] = ords
     return tab
 
 
@@ -228,17 +235,24 @@ def _odd_witness_pair_findings(task) -> tuple[list[AuditFinding], list[AuditFind
     return literal, per_prime
 
 
-# Largest accepted pair sweep, in pairs * ell_max**2: the brute-force scan
-# of one pair grows quadratically in ell_max, and criterion 02 (199 pairs,
-# ell_max 2000, about 8e8) takes about 20 s on one core of a 2-core Xeon.
-_SWEEP_WORK_LIMIT = 10**9
+# Work units of a pair sweep: per pair, ell_max * (ell_max + _SWEEP_PER_ELL)
+# + _SWEEP_PER_PAIR.  The brute-force scan grows with ell_max**2; the per-ell
+# decisions and scan blocks cost as much as 2500 scan elements each, and the
+# fixed set-up of a pair (its Pair, scan tables and task) as 15000.  Fitted
+# on crossval pairs drawn from a, b <= 1000, one core of a 2-core Xeon: a
+# unit is about 6.4 ns.  The largest accepted crossval sweeps at ell_max 1,
+# 57, 500 and 2000 (a_max = b_max = 612, 201, 65, 26) each ran in 7-8 s.
+_SWEEP_PER_ELL = 2500
+_SWEEP_PER_PAIR = 15000
+_SWEEP_WORK_LIMIT = 2 * 10**9
 
 
 def _check_sweep_bounds(a_max: int, b_max: int, ell_max: int, pairs_for) -> list:
     """The pairs of a sweep, pairs_for(a_max, b_max), if the sweep is accepted.
 
     Refuses a_max, b_max outside 0..10**3 or ell_max outside 1..10**4 before
-    any pair is built, then a sweep of more than 10**9 pairs * ell_max**2.
+    any pair is built, then a sweep of more than 2*10**9 work units,
+    pairs * (ell_max * (ell_max + 2500) + 15000).
     """
     if not 1 <= ell_max <= 10**4:
         raise ValueError(f"ell_max must be in 1..10**4, got {ell_max}")
@@ -246,8 +260,9 @@ def _check_sweep_bounds(a_max: int, b_max: int, ell_max: int, pairs_for) -> list
         if not 0 <= value <= 10**3:
             raise ValueError(f"{name} must be in 0..10**3, got {value}")
     pairs = pairs_for(a_max, b_max)
-    if len(pairs) * ell_max**2 > _SWEEP_WORK_LIMIT:
-        raise ValueError(f"sweep too large: {len(pairs)} pairs * ell_max**2 "
+    per_pair = ell_max * (ell_max + _SWEEP_PER_ELL) + _SWEEP_PER_PAIR
+    if len(pairs) * per_pair > _SWEEP_WORK_LIMIT:
+        raise ValueError(f"sweep too large: {len(pairs)} pairs * {per_pair} work units "
                          f"exceeds {_SWEEP_WORK_LIMIT}")
     return pairs
 
@@ -261,7 +276,8 @@ def audit_odd_witness_variants(a_max: int, b_max: int, ell_max: int,
     returns discrepancies under "literal" (Theorem 2's printed whole-modulus
     condition, documenting where it diverges) and "per_prime" (the oddly_good
     bit of the decider is_good, expected to stay empty).  Bounds: a_max,
-    b_max in 0..10**3, ell_max in 1..10**4, and pairs * ell_max**2 <= 10**9.
+    b_max in 0..10**3, ell_max in 1..10**4, and
+    pairs * (ell_max * (ell_max + 2500) + 15000) <= 2*10**9.
     """
     pairs = _check_sweep_bounds(a_max, b_max, ell_max, _odd_witness_pairs)
     # The moduli 2**beta * d with beta >= 2 and d >= 3.
@@ -317,7 +333,7 @@ def crossval_sweep(a_max: int, b_max: int, ell_max: int,
     Covers every coprime (a, b) with a <= a_max, a < b <= b_max and every
     ell <= ell_max; flags and witnesses must all coincide, so any returned
     finding is a defect somewhere.  Bounds: a_max, b_max in 0..10**3, ell_max
-    in 1..10**4, and pairs * ell_max**2 <= 10**9.
+    in 1..10**4, and pairs * (ell_max * (ell_max + 2500) + 15000) <= 2*10**9.
     """
     pairs = _check_sweep_bounds(a_max, b_max, ell_max, _crossval_pairs)
     tasks = [(a, b, ell_max) for a, b in pairs]

@@ -76,51 +76,84 @@ def brute_force_verdict(pair: Pair, ell: int) -> Verdict:
     )
 
 
+# Exponents per block of brute_force_sweep: a power of two, as its power
+# tables are built by doubling, and even, so every block starts at an odd k.
+_BLOCK = 32
+# Largest ell_max brute_force_sweep accepts: 46340**2 < 2**31 <= 46341**2, so
+# a product of two residues below ell_max fits int32.
+_SWEEP_ELL_CAP = 46340
+
+
 def brute_force_sweep(pair: Pair, ell_max: int) -> list[Verdict]:
     """brute_force_verdict for every ell in 1..ell_max, vectorized.
 
     Each modulus is scanned to its own bound k = 2*ell, as in
     brute_force_verdict, without the early stops (past them the witness set
-    only repeats).  The moduli ascend, so at step k the live ones are the
-    suffix from index (k - 1) // 2 and every array operation works on that
-    suffix.  A step tracks a**k and -b**k mod ell and counts a hit where
-    they are equal, which is ell | a**k + b**k.  The two per-step masks are
-    written into preallocated bool buffers: a fresh temporary of a new
-    length at every step would defeat numpy's small-block cache and raise
-    peak memory.  a, b and -b are reduced into each modulus with Python
-    ints, so operands of any size are accepted; intermediate products must
-    fit in int64, which holds for ell_max < 2**31.
+    only repeats).  k is a hit for ell when ell | a**k + b**k, tested as
+    ell | a**k - (-b**k) on residues.  The exponent advances in blocks of
+    B = _BLOCK steps.  Tables of a**j and b**j mod ell for j = 1..B are
+    built once by repeated multiplication; each block multiplies them by
+    the running a**(k0-1) and -b**(k0-1) of its first exponent k0, one
+    (B x moduli) product each, and reduces their difference once.  The
+    moduli ascend, so a block works on the suffix still live at k0, from
+    index (k0 - 1) // 2.  Only the first B/2 columns of that suffix can
+    pass their own 2*ell inside the block, and a constant mask drops those
+    hits.  The smallest odd and even hit of each modulus is kept.
+
+    a and b are reduced into each modulus with Python ints, so operands of
+    any size are accepted.  Every array is int32: residues are below ell,
+    so each product, and the difference of two, lies strictly between
+    -2**31 and 2**31 for ell_max <= 46340; a larger ell_max is refused
+    before any array is built.
     """
     if ell_max < 0:
         raise ValueError(f"ell_max must be non-negative, got {ell_max}")
     if ell_max == 0:
         return []
-    if ell_max >= 1 << 31:
-        raise ValueError("ell_max too large for the vectorized scan")
-    mods = np.arange(1, ell_max + 1, dtype=np.int64)
+    if ell_max > _SWEEP_ELL_CAP:
+        raise ValueError(f"ell_max must be at most {_SWEEP_ELL_CAP}, got {ell_max}")
+    B, half = _BLOCK, _BLOCK // 2
+    mods = np.arange(1, ell_max + 1, dtype=np.int32)
     moduli = range(1, ell_max + 1)
-    a_red, b_red, nb = (np.fromiter((v % m for m in moduli), np.int64, ell_max)
-                        for v in (pair.a, pair.b, -pair.b))
-    pa = a_red.copy()
-    w_odd = np.zeros(ell_max, dtype=np.int64)
-    w_even = np.zeros(ell_max, dtype=np.int64)
-    hit_buf = np.empty(ell_max, dtype=bool)
-    fresh_buf = np.empty(ell_max, dtype=bool)
-    for k in range(1, 2 * ell_max + 1):
-        lo = (k - 1) // 2
-        p, n, m = pa[lo:], nb[lo:], mods[lo:]
-        hit = np.equal(p, n, out=hit_buf[lo:])
-        if hit.any():
-            tgt = (w_odd if k & 1 else w_even)[lo:]
-            fresh = np.equal(tgt, 0, out=fresh_buf[lo:])
-            fresh &= hit
-            tgt[fresh] = k
-        p *= a_red[lo:]
-        p %= m
-        n *= b_red[lo:]
-        n %= m
+    a_red, b_red = (np.fromiter((v % m for m in moduli), np.int32, ell_max)
+                    for v in (pair.a, pair.b))
+    # Row j - 1 holds a**j (resp. b**j) mod ell; rows s..2s-1 are rows
+    # 0..s-1 times row s-1, a**(s+i) = a**i * a**s.
+    a_pow = np.empty((B, ell_max), dtype=np.int32)
+    b_pow = np.empty((B, ell_max), dtype=np.int32)
+    a_pow[0], b_pow[0] = a_red, b_red
+    s = 1
+    while s < B:
+        for tab in (a_pow, b_pow):
+            np.remainder(tab[:s] * tab[s - 1], mods, out=tab[s:2 * s])
+        s *= 2
+    # Row j of a block is k = k0 + j and column c is ell = lo + c + 1, with
+    # k0 = 2*lo + 1: k > 2*ell exactly when j >= 2*c + 2.
+    dead = np.arange(B)[:, None] >= 2 * np.arange(half) + 2
+    # Row pairs (k odd, k even) of a block, as offsets from k0.
+    offsets = np.arange(B, dtype=np.int32).reshape(half, 2, 1)
+    unset = np.int32(1 << 30)
+    first = np.full((2, ell_max), unset, dtype=np.int32)  # smallest odd, even hit
+    pa = 1 % mods          # a**(k0 - 1) mod ell
+    pn = mods - 1          # -b**(k0 - 1) mod ell
+    for k0 in range(1, 2 * ell_max + 1, B):
+        lo = (k0 - 1) // 2
+        m = mods[lo:]
+        ak = a_pow[:, lo:] * pa
+        nbk = b_pow[:, lo:] * pn
+        # The next block starts half columns further on.
+        pa = ak[-1, half:] % m[half:]
+        pn = nbk[-1, half:] % m[half:]
+        ak -= nbk
+        # C remainder: its sign differs from %, but only zero matters.
+        hit = np.fmod(ak, m, out=ak) == 0
+        n = hit.shape[1]
+        hit[:, :half][dead[:, :n]] = False
+        k = np.where(hit.reshape(half, 2, n), offsets + k0, unset).min(axis=0)
+        np.minimum(first[:, lo:], k, out=first[:, lo:])
+    first[first == unset] = 0
     out = []
-    for ell, (wo, we) in enumerate(zip(w_odd.tolist(), w_even.tolist()), 1):
+    for ell, (wo, we) in enumerate(zip(first[0].tolist(), first[1].tolist()), 1):
         witness = min(w for w in (wo, we) if w) if (wo or we) else None
         out.append(
             Verdict(ell, witness is not None, wo > 0, we > 0, witness, "brute_force")

@@ -193,7 +193,8 @@ class TestSweepBounds:
     @pytest.mark.parametrize("sweep", [audit.crossval_sweep, audit.audit_odd_witness_variants])
     @pytest.mark.parametrize("bounds", [(1001, 1, 10), (1, 1001, 10), (-1, 1, 10),
                                         (1, -1, 10), (1, 1, 0), (1, 1, 10**4 + 1),
-                                        (1000, 1000, 10**4), (100, 100, 4000)])
+                                        (1000, 1000, 10**4), (100, 100, 4000),
+                                        (1000, 1000, 57), (1000, 1000, 1)])
     def test_rejected_before_any_work(self, sweep, bounds, monkeypatch):
         monkeypatch.setattr(oracle, "brute_force_sweep", None)  # any work would fail
         with pytest.raises(ValueError):

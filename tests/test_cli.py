@@ -267,12 +267,25 @@ class TestAudit:
 
     @pytest.mark.parametrize("claim", ["crossval", "thm2-literal"])
     def test_oversized_sweep_refused(self, claim):
-        # Each bound is in range, but pairs * ell_max**2 is far above 10**9.
+        # Each bound is in range, but the sweep is far above its work limit.
         t0 = time.monotonic()
         proc = run_cli("audit", "--claim", claim, "--a-max", "1000", "--b-max", "1000",
                        "--ell-max", "10000", "--jobs", "1", timeout=10)
         assert time.monotonic() - t0 < 2
         assert proc.returncode == 2 and proc.stdout == ""
+
+    @pytest.mark.parametrize("claim", ["crossval", "thm2-literal"])
+    @pytest.mark.parametrize("ell_max", ["57", "1"])
+    def test_small_ell_max_sweep_priced(self, claim, ell_max, monkeypatch, capsys):
+        # 304 191 (crossval) or 202 661 pairs: minutes of work at ell_max 57
+        # and tens of seconds at ell_max 1, most of it per ell and per pair.
+        def refuse(*args):
+            raise AssertionError("a pair task ran")
+
+        monkeypatch.setattr(oracle, "brute_force_sweep", refuse)
+        code = cli.main(["audit", "--claim", claim, "--a-max", "1000", "--b-max", "1000",
+                         "--ell-max", ell_max, "--jobs", "1"])
+        assert code == 2 and capsys.readouterr().out == ""
 
     def test_negation_claim_bound_refused_up_front(self):
         t0 = time.monotonic()

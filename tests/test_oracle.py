@@ -161,11 +161,16 @@ class TestSweep:
     def test_suffix_boundaries(self):
         # Each modulus leaves the scan after k = 2*ell; the smallest ell_max
         # values and both parities of ell_max pin where the live suffix starts.
-        # (6, 35) has moduli sharing a factor with ab, which never hit.
+        # k advances in blocks of B: ell_max at B/2 +- 1 and B +- 1 ends the
+        # scan inside, at the end of or just past a block, and 2B spans two.
+        # (6, 35) has moduli sharing a factor with ab, which never hit; it and
+        # (2, 1) hit past 2*ell inside a block, where the scan masks the hits.
+        B = oracle._BLOCK
         for a, b in [(1, -1), (-1, 1), (2, 1), (-7, 4), (6, 35)]:
             pair = Pair(a, b)
             scanned = [witness_by_scan(a, b, ell, 4 * ell) for ell in range(1, 301)]
-            for ell_max in (1, 2, 3, 4, 5, 6, 299, 300):
+            for ell_max in (1, 2, 3, 4, 5, 6, B // 2 - 1, B // 2, B // 2 + 1,
+                            B - 1, B, B + 1, 2 * B, 299, 300):
                 swept = oracle.brute_force_sweep(pair, ell_max)
                 assert [v.ell for v in swept] == list(range(1, ell_max + 1))
                 for v, (w, w_odd, w_even) in zip(swept, scanned):
@@ -176,15 +181,20 @@ class TestSweep:
     @given(large_coprime_pairs, st.integers(1, 400))
     @settings(max_examples=100, deadline=None)
     def test_matches_scalar_for_large_and_negative_pairs(self, ab, n):
-        # The sweep and the scalar scan reduce a and -b into each modulus
+        # The sweep and the scalar scan reduce a and b into each modulus
         # separately: both must land on the same residues.
         pair = Pair(*ab)
         assert oracle.brute_force_sweep(pair, n) == [
             oracle.brute_force_verdict(pair, ell) for ell in range(1, n + 1)]
 
-    @pytest.mark.parametrize("ell_max", [-1, 2**31])
+    def test_cap_keeps_products_in_int32(self):
+        cap = oracle._SWEEP_ELL_CAP
+        assert cap**2 < 2**31 <= (cap + 1) ** 2
+
+    @pytest.mark.parametrize("ell_max", [-1, 46341, 2**31])
     def test_refuses_bad_ell_max_before_allocating(self, monkeypatch, ell_max):
-        # 2**31 would overflow the int64 products of the scan.
+        # Past the cap a product of two residues would overflow the int32
+        # arrays of the scan.
         class NoNumpy:
             def __getattr__(self, name):
                 raise AssertionError(f"np.{name} used before the bound check")

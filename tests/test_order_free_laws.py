@@ -1,0 +1,108 @@
+"""Order-free laws for odd prime powers, checked on primes up to 2**63.
+
+Brute force stops at ell <= 10**4 in the audits, so above that the deciders
+are checked only against the order oracle, and both stand on
+arith.factorize and arith.multiplicative_order.  These laws decide p**e from
+a Jacobi symbol alone, with no order and no factorization by arith.
+
+With x = a * b**-1 and an odd prime p not dividing ab, Euler's criterion
+gives (x/p) = (ab/p), since (b**-1/p) = (b/p):
+
+- (ab/p) = -1: x is a non-residue, so Ord_p(x) carries the whole 2-part of
+  p - 1, and so does Ord_{p**e}(x) = Ord_p(x) * p**i.  The order is even, so
+  p**e is good, and its smallest witness Ord/2 is odd iff p = 3 (mod 4).
+- (ab/p) = +1 and p = 3 (mod 4): x is a residue, so Ord_p(x) divides the
+  odd (p - 1)/2 and every p**e is bad.
+"""
+
+import pytest
+
+from goodint import classify, oracle
+from goodint.core import Pair
+
+sympy = pytest.importorskip("sympy")
+
+PAIRS = [(1, 2), (2, 3), (3, 5), (-2, 9), (-7, 4), (6, 35), (19, 1), (11, 1)]
+LIMIT = 2**63
+
+
+def jacobi(a: int, n: int) -> int:
+    """Jacobi symbol (a/n) for odd n > 0, by quadratic reciprocity."""
+    a %= n
+    result = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                result = -result
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            result = -result
+        a %= n
+    return result if n == 1 else 0
+
+
+@pytest.fixture(scope="module")
+def primes():
+    """Odd primes of 2 to 63 bits, three per size, from a seeded sympy.randprime."""
+    rng = sympy.core.random.rng
+    state = rng.getstate()
+    rng.seed(20261018)
+    try:
+        return sorted({sympy.randprime(2 ** (bits - 1) + 1, 2**bits)
+                       for bits in range(2, 64) for _ in range(3)})
+    finally:
+        rng.setstate(state)
+
+
+def prime_powers(p: int) -> list[int]:
+    """p, p**2, ... below 2**63, the inputs arith accepts."""
+    out = [p]
+    while out[-1] * p < LIMIT:
+        out.append(out[-1] * p)
+    return out
+
+
+def verdicts(pair: Pair, ell: int) -> list:
+    """The verdict of every route that decides ell from orders."""
+    out = [classify.is_good(pair, ell), oracle.order_oracle_verdict(pair, ell)]
+    if pair.ab_odd:
+        out.append(classify.is_good_via_sum_valuation(pair, ell))
+    return out
+
+
+def test_jacobi_matches_sympy():
+    for n in range(1, 400, 2):
+        for a in range(-50, 50):
+            assert jacobi(a, n) == sympy.jacobi_symbol(a, n), (a, n)
+
+
+@pytest.mark.parametrize("a,b", PAIRS)
+def test_non_residue_prime_powers_are_good(a, b, primes):
+    pair = Pair(a, b)
+    seen = 0
+    for p in primes:
+        if (a * b) % p == 0 or jacobi(a * b, p) != -1:
+            continue
+        for pe in prime_powers(p):
+            seen += 1
+            odd = p % 4 == 3
+            for v in verdicts(pair, pe):
+                assert v.flags() == (True, odd, not odd), (a, b, p, pe, v.method)
+                assert v.witness % 2 == odd, (a, b, p, pe, v.method)
+    assert seen
+
+
+@pytest.mark.parametrize("a,b", PAIRS)
+def test_residue_prime_powers_three_mod_four_are_bad(a, b, primes):
+    pair = Pair(a, b)
+    seen = 0
+    for p in primes:
+        if p % 4 != 3 or (a * b) % p == 0 or jacobi(a * b, p) != 1:
+            continue
+        for pe in prime_powers(p):
+            seen += 1
+            for v in verdicts(pair, pe):
+                assert v.flags() == (False, False, False), (a, b, p, pe, v.method)
+                assert v.witness is None, (a, b, p, pe, v.method)
+    assert seen
