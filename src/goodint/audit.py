@@ -72,7 +72,7 @@ def primitive_root(pp: int) -> int:
 
 
 def order_table(pp: int) -> np.ndarray:
-    """Orders of all residues mod the odd prime power pp (1 where undefined).
+    """Orders of all residues mod the odd prime power pp (1 where undefined), int32.
 
     Built by walking the powers of a primitive root g, so entries come from
     the group structure itself: Ord(g**j) = n / gcd(n, j) with n = phi(pp).
@@ -92,24 +92,39 @@ def order_table(pp: int) -> np.ndarray:
     for q, e in arith.factorize(n).prime_items():
         for i in range(1, e + 1):
             ords[::q**i] //= q
-    tab = np.ones(pp, dtype=np.int64)
+    tab = np.ones(pp, dtype=np.int32)
     tab[pows] = ords
     return tab
 
 
-def _pow_mod_vec(base: np.ndarray, exp: np.ndarray, mod: int) -> np.ndarray:
-    """Elementwise base**exp mod `mod` (int64; mod**2 must fit in int64)."""
+def _pow_mod_vec(base: np.ndarray, exp: np.ndarray, mod) -> np.ndarray:
+    """Elementwise base**exp mod `mod`, by square-and-multiply over the bits of exp.
+
+    `mod` is an int or an array shaped like `base` (one modulus per
+    element); int64, and every mod**2 must fit in int64.  The loop runs
+    once per bit of the largest exponent.  Each step multiplies every
+    element and keeps the product where the exponent bit is set, by
+    arithmetic (result += (product - result) * bit) rather than a masked
+    copy.  Empty input gives an empty result.
+    """
     result = np.ones_like(base)
+    if not base.size:
+        return result
     tmp = np.empty_like(base)
+    bit = np.empty_like(exp)
     b = base % mod
     e = exp.copy()
-    while e.any():
+    for i in range(int(exp.max()).bit_length()):
+        if i:
+            b *= b
+            b %= mod
+            e >>= 1
         np.multiply(result, b, out=tmp)
         tmp %= mod
-        np.copyto(result, tmp, where=(e & 1).astype(bool))
-        b *= b
-        b %= mod
-        e >>= 1
+        np.bitwise_and(e, 1, out=bit)
+        tmp -= result
+        tmp *= bit
+        result += tmp
     return result
 
 
@@ -144,6 +159,12 @@ def audit_order2_congruence(beta_max: int) -> list[AuditFinding]:
 # Claim: order 2k mod odd d forces x**k = -1 (mod d).
 # ---------------------------------------------------------------------------
 
+# Rows (units of even order) the jitman_eq2 scan gathers before one
+# _pow_mod_vec call raises them all: per-modulus calls on a few hundred
+# elements cost mostly numpy call overhead.
+_NEG_BLOCK_ROWS = 1 << 13
+
+
 def audit_negation_from_even_order(
         d_max: int) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
     """Scan every odd d <= d_max and every coprime x of even order 2k.
@@ -155,6 +176,12 @@ def audit_negation_from_even_order(
     and holding instances are not materialized (there are on the order of
     d_max**2 of them).  Counterexamples only ever appear for d with at least
     two distinct prime factors; the scan verifies rather than assumes this.
+
+    Orders come per modulus from the prime-power order tables.  The powers
+    are raised in blocks of consecutive moduli, each closed once it holds
+    _NEG_BLOCK_ROWS rows, by one _pow_mod_vec call against one modulus per
+    row, and the findings are split back per modulus.
+
     d_max must be in 1..10**4: time and output grow faster than
     quadratically (d_max = 5000 already yields over 500 MB of findings
     through the CLI).
@@ -162,6 +189,8 @@ def audit_negation_from_even_order(
     if not 1 <= d_max <= 10**4:
         raise ValueError(f"d_max must be in 1..10**4, got {d_max}")
     tables: dict[int, np.ndarray] = {}
+    block: list[tuple[int, np.ndarray, np.ndarray]] = []
+    rows = 0
     for d in range(3, d_max + 1, 2):
         f = arith.factorize(d)
         pps = f.prime_powers()
@@ -176,12 +205,34 @@ def audit_negation_from_even_order(
         for pp in pps[1:]:
             t = np.lcm(t, tables[pp][x % pp])
         even = (t & 1) == 0
-        xe, te = x[even], t[even]
-        ke = te >> 1
-        y = _pow_mod_vec(xe, ke, d)
-        bad = y != d - 1
-        if bad.any():
-            yield d, xe[bad], ke[bad], y[bad], te[bad]
+        xe = x[even]
+        block.append((d, xe, t[even]))
+        rows += len(xe)
+        if rows >= _NEG_BLOCK_ROWS:
+            yield from _negation_block(block)
+            block, rows = [], 0
+    if block:
+        yield from _negation_block(block)
+
+
+def _negation_block(block):
+    """The counterexample columns of a block of moduli, one x**k mod d for all.
+
+    block holds (d, x, t) per modulus, ascending in d, with x its units of
+    even order t.  A lone modulus is passed to _pow_mod_vec as an int.
+    """
+    ds = [d for d, _, _ in block]
+    counts = [len(x) for _, x, _ in block]
+    x = np.concatenate([x for _, x, _ in block])
+    t = np.concatenate([t for _, _, t in block], dtype=np.int64)
+    mod = ds[0] if len(ds) == 1 else np.repeat(np.array(ds, dtype=np.int64), counts)
+    k = t >> 1
+    y = _pow_mod_vec(x, k, mod)
+    bad = np.flatnonzero(y != mod - 1)
+    cuts = np.searchsorted(bad, np.cumsum(counts)[:-1])
+    for d, sel in zip(ds, np.split(bad, cuts)):
+        if sel.size:
+            yield d, x[sel], k[sel], y[sel], t[sel]
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,16 @@ class TestOrderTables:
         got = audit._pow_mod_vec(base, exp, 997)
         for b, e, r in zip(base, exp, got):
             assert r == pow(int(b), int(e), 997)
+        # one modulus per element
+        mod = rng.integers(3, 10**4, 500).astype(np.int64)
+        base = rng.integers(0, 10**4, 500).astype(np.int64)
+        got = audit._pow_mod_vec(base, exp, mod)
+        for b, e, m, r in zip(base, exp, mod, got):
+            assert r == pow(int(b), int(e), int(m))
+        empty = np.empty(0, dtype=np.int64)
+        for m in (997, empty):
+            got = audit._pow_mod_vec(empty, empty, m)
+            assert got.dtype == np.int64 and got.shape == (0,)
 
 
 class TestOrder2Congruence:
@@ -130,6 +140,28 @@ class TestNegationFromEvenOrder:
 
     def test_deterministic(self):
         assert negation_rows(101) == negation_rows(101)
+
+    def test_block_size_does_not_change_columns(self, monkeypatch):
+        def columns():
+            return [(d, *(c.tolist() for c in cols))
+                    for d, *cols in audit.audit_negation_from_even_order(301)]
+
+        blocks = []
+        real_block = audit._negation_block
+
+        def counted(block):
+            blocks.append(len(block))
+            return real_block(block)
+
+        monkeypatch.setattr(audit, "_negation_block", counted)
+        default = columns()
+        assert len(blocks) > 1 and 15 in (d for d, *_ in default)
+        # every modulus alone (passed as an int), then all in one block
+        for rows, n_blocks in ((1, 150), (10**9, 1)):
+            blocks.clear()
+            monkeypatch.setattr(audit, "_NEG_BLOCK_ROWS", rows)
+            assert columns() == default
+            assert len(blocks) == n_blocks and sum(blocks) == 150
 
     def test_bounds(self):
         for d_max in (10**4 + 1, 10**5 + 1):

@@ -13,7 +13,15 @@ gives (x/p) = (ab/p), since (b**-1/p) = (b/p):
   p**e is good, and its smallest witness Ord/2 is odd iff p = 3 (mod 4).
 - (ab/p) = +1 and p = 3 (mod 4): x is a residue, so Ord_p(x) divides the
   odd (p - 1)/2 and every p**e is bad.
+- ell a product of distinct primes p with (ab/p) = -1: each Ord_p(x) has
+  2-adic valuation nu2(p - 1), and ell is good iff these all agree (some
+  x**k = -1 mod every p at once), with smallest witness Ord_ell(x)/2, odd
+  iff every nu2(p - 1) is 1.
 """
+
+import math
+import random
+from collections import defaultdict
 
 import pytest
 
@@ -106,3 +114,50 @@ def test_residue_prime_powers_three_mod_four_are_bad(a, b, primes):
                 assert v.flags() == (False, False, False), (a, b, p, pe, v.method)
                 assert v.witness is None, (a, b, p, pe, v.method)
     assert seen
+
+
+def nu2_of(n: int) -> int:
+    """2-adic valuation of n > 0."""
+    return (n & -n).bit_length() - 1
+
+
+def non_residue_products(ab: int, primes: list[int]) -> list[list[int]]:
+    """Distinct primes p with (ab/p) = -1, 2 or 3 at a time, their product < 2**63.
+
+    For each size: two sets whose primes all have nu2(p - 1) = 1, two whose
+    primes share the most common larger nu2(p - 1), and two that disagree.
+    """
+    by_nu2 = defaultdict(list)
+    for p in primes:
+        if ab % p and jacobi(ab, p) == -1:
+            by_nu2[nu2_of(p - 1)].append(p)
+    wide = max((v for v in by_nu2 if v > 1), key=lambda v: len(by_nu2[v]))
+    mixed = sorted(p for ps in by_nu2.values() for p in ps)
+    rng = random.Random(ab)
+    out = []
+    for size in (2, 3):
+        for group in (by_nu2[1], by_nu2[wide], mixed):
+            found = 0
+            while found < 2:
+                ps = rng.sample(group, size)
+                agree = len({nu2_of(p - 1) for p in ps}) == 1
+                if math.prod(ps) < LIMIT and (group is not mixed or not agree):
+                    out.append(ps)
+                    found += 1
+    return out
+
+
+@pytest.mark.parametrize("a,b", PAIRS)
+def test_non_residue_products_good_iff_nu2_agree(a, b, primes):
+    pair = Pair(a, b)
+    for ps in non_residue_products(a * b, primes):
+        ell = math.prod(ps)
+        nu2s = {nu2_of(p - 1) for p in ps}
+        good = len(nu2s) == 1
+        oddly = nu2s == {1}
+        for v in verdicts(pair, ell):
+            assert v.flags() == (good, oddly, good and not oddly), (a, b, ps, v.method)
+            if good:
+                assert v.witness % 2 == oddly, (a, b, ps, v.method)
+            else:
+                assert v.witness is None, (a, b, ps, v.method)
