@@ -219,13 +219,13 @@ def _negation_block(block):
     """The counterexample columns of a block of moduli, one x**k mod d for all.
 
     block holds (d, x, t) per modulus, ascending in d, with x its units of
-    even order t.  A lone modulus is passed to _pow_mod_vec as an int.
+    even order t.
     """
     ds = [d for d, _, _ in block]
     counts = [len(x) for _, x, _ in block]
     x = np.concatenate([x for _, x, _ in block])
     t = np.concatenate([t for _, _, t in block], dtype=np.int64)
-    mod = ds[0] if len(ds) == 1 else np.repeat(np.array(ds, dtype=np.int64), counts)
+    mod = np.repeat(np.array(ds, dtype=np.int64), counts)
     k = t >> 1
     y = _pow_mod_vec(x, k, mod)
     bad = np.flatnonzero(y != mod - 1)
@@ -292,7 +292,8 @@ def _odd_witness_pair_findings(task) -> tuple[list[AuditFinding], list[AuditFind
 # fixed set-up of a pair (its Pair, scan tables and task) as 15000.  Fitted
 # on crossval pairs drawn from a, b <= 1000, one core of a 2-core Xeon: a
 # unit is about 6.4 ns.  The largest accepted crossval sweeps at ell_max 1,
-# 57, 500 and 2000 (a_max = b_max = 612, 201, 65, 26) each ran in 7-8 s.
+# 57, 500 and 2000 (a_max = b_max = 612, 201, 65, 26) each take 10-13 s
+# through the CLI (median of 5 runs).
 _SWEEP_PER_ELL = 2500
 _SWEEP_PER_PAIR = 15000
 _SWEEP_WORK_LIMIT = 2 * 10**9

@@ -156,7 +156,7 @@ class TestNegationFromEvenOrder:
         monkeypatch.setattr(audit, "_negation_block", counted)
         default = columns()
         assert len(blocks) > 1 and 15 in (d for d, *_ in default)
-        # every modulus alone (passed as an int), then all in one block
+        # every modulus in a block of its own, then all in one block
         for rows, n_blocks in ((1, 150), (10**9, 1)):
             blocks.clear()
             monkeypatch.setattr(audit, "_NEG_BLOCK_ROWS", rows)
