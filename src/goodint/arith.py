@@ -197,22 +197,6 @@ def factorize(n: int) -> Factorization:
 
 
 @lru_cache(maxsize=1 << 16)
-def carmichael_lambda(n: int) -> int:
-    """Exponent of the multiplicative group mod n (every order divides it)."""
-    f = factorize(n)
-    parts = []
-    if f.beta == 1:
-        parts.append(1)
-    elif f.beta == 2:
-        parts.append(2)
-    elif f.beta >= 3:
-        parts.append(1 << (f.beta - 2))
-    for p, e in f.odd_part:
-        parts.append(p ** (e - 1) * (p - 1))
-    return math.lcm(*parts) if parts else 1
-
-
-@lru_cache(maxsize=1 << 16)
 def _prime_power_order(x: int, p: int, e: int) -> int:
     """Order of x mod p**e, for x in [0, p**e) coprime to p.
 

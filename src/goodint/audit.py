@@ -292,8 +292,9 @@ def _odd_witness_pair_findings(task) -> tuple[list[AuditFinding], list[AuditFind
 # fixed set-up of a pair (its Pair, scan tables and task) as 15000.  Fitted
 # on crossval pairs drawn from a, b <= 1000, one core of a 2-core Xeon: a
 # unit is about 6.4 ns.  The largest accepted crossval sweeps at ell_max 1,
-# 57, 500 and 2000 (a_max = b_max = 612, 201, 65, 26) each take 10-13 s
-# through the CLI (median of 5 runs).
+# 57, 500 and 2000 (a_max = b_max = 612, 201, 65, 26) take 6.0, 10.3, 10.9
+# and 11.6 s through the CLI (median of 5 runs); at ell_max 1 a pair's scan
+# table has 2 rows, not 32, so that sweep costs less than it is priced.
 _SWEEP_PER_ELL = 2500
 _SWEEP_PER_PAIR = 15000
 _SWEEP_WORK_LIMIT = 2 * 10**9

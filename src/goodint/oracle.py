@@ -65,19 +65,17 @@ def brute_force_verdict(pair: Pair, ell: int) -> Verdict:
             break
         pa = pa * a % ell
         pb = pb * b % ell
-    witness = min(w for w in (w_odd, w_even) if w) if (w_odd or w_even) else None
-    return Verdict(
-        ell,
-        witness is not None,
-        w_odd > 0,
-        w_even > 0,
-        witness,
-        "brute_force",
-    )
+    return _verdict(ell, w_odd, w_even)
 
 
-# Exponents per block of brute_force_sweep: a power of two, as its power
-# tables are built by doubling, and even, so every block starts at an odd k.
+def _verdict(ell: int, w_odd: int, w_even: int) -> Verdict:
+    """Brute-force verdict from the smallest odd and even witnesses, 0 for none."""
+    witness = min(w_odd, w_even) if w_odd and w_even else (w_odd or w_even or None)
+    return Verdict(ell, witness is not None, w_odd > 0, w_even > 0, witness, "brute_force")
+
+
+# Exponents per block of brute_force_sweep, at most: a power of two, as its
+# power table is built by doubling, and even, so every block starts at an odd k.
 _BLOCK = 32
 # Largest ell_max brute_force_sweep accepts: 46340**2 < 2**31 <= 46341**2, so
 # a product of two residues below ell_max fits int32.
@@ -87,18 +85,21 @@ _SWEEP_ELL_CAP = 46340
 def brute_force_sweep(pair: Pair, ell_max: int) -> list[Verdict]:
     """brute_force_verdict for every ell in 1..ell_max, vectorized.
 
-    Each modulus is scanned to its own bound k = 2*ell, as in
-    brute_force_verdict, without the early stops (past them the witness set
-    only repeats).  k is a hit for ell when ell | a**k + b**k, tested as
-    ell | a**k - (-b**k) on residues.  The exponent advances in blocks of
-    B = _BLOCK steps.  Tables of a**j and b**j mod ell for j = 1..B are
-    built once by repeated multiplication; each block multiplies them by
-    the running a**(k0-1) and -b**(k0-1) of its first exponent k0, one
-    (B x moduli) product each, and reduces their difference once.  The
-    moduli ascend, so a block works on the suffix still live at k0, from
-    index (k0 - 1) // 2.  Only the first B/2 columns of that suffix can
-    pass their own 2*ell inside the block, and a constant mask drops those
-    hits.  The smallest odd and even hit of each modulus is kept.
+    k is a hit for ell when ell | a**k + b**k, tested as ell | a**k - (-b**k)
+    on residues.  The exponent advances in blocks of B steps, B the smaller
+    of _BLOCK and the least power of two >= 2*ell_max.  A table of a**j and
+    b**j mod ell for j = 1..B is built once by doubling; each block
+    multiplies its a and b rows by the running a**(k0-1) and -b**(k0-1) of
+    its first exponent k0, one (B x moduli) product each, and reduces their
+    difference once.  The moduli ascend, so a block works on the suffix still
+    live at k0, from index (k0 - 1) // 2: each modulus is scanned to the end
+    of the block that passes its own bound 2*ell, without early stops.  The
+    smallest odd and even hit of each modulus is kept.
+
+    Hits past 2*ell change neither: if gcd(ab, ell) > 1, a prime of ell
+    divides exactly one of a, b and no k is a hit; otherwise (a**k, b**k)
+    mod ell is purely periodic with some period P <= ell, so a hit k > 2*ell
+    has a smaller hit k - 2*P of the same parity.
 
     a and b are reduced into each modulus with Python ints, so operands of
     any size are accepted.  Every array is int32: residues are below ell,
@@ -112,24 +113,19 @@ def brute_force_sweep(pair: Pair, ell_max: int) -> list[Verdict]:
         return []
     if ell_max > _SWEEP_ELL_CAP:
         raise ValueError(f"ell_max must be at most {_SWEEP_ELL_CAP}, got {ell_max}")
-    B, half = _BLOCK, _BLOCK // 2
+    B = min(_BLOCK, 1 << (2 * ell_max - 1).bit_length())
+    half = B // 2
     mods = np.arange(1, ell_max + 1, dtype=np.int32)
-    moduli = range(1, ell_max + 1)
-    a_red, b_red = (np.fromiter((v % m for m in moduli), np.int32, ell_max)
-                    for v in (pair.a, pair.b))
-    # Row j - 1 holds a**j (resp. b**j) mod ell; rows s..2s-1 are rows
-    # 0..s-1 times row s-1, a**(s+i) = a**i * a**s.
-    a_pow = np.empty((B, ell_max), dtype=np.int32)
-    b_pow = np.empty((B, ell_max), dtype=np.int32)
-    a_pow[0], b_pow[0] = a_red, b_red
+    # pows[0] row j - 1 holds a**j mod ell, pows[1] the same for b; rows
+    # s..2s-1 are rows 0..s-1 times row s-1, a**(s+i) = a**i * a**s.
+    pows = np.empty((2, B, ell_max), dtype=np.int32)
+    for tab, v in zip(pows, (pair.a, pair.b)):
+        tab[0] = np.fromiter((v % m for m in range(1, ell_max + 1)), np.int32, ell_max)
     s = 1
     while s < B:
-        for tab in (a_pow, b_pow):
-            np.remainder(tab[:s] * tab[s - 1], mods, out=tab[s:2 * s])
+        np.remainder(pows[:, :s] * pows[:, s - 1:s], mods, out=pows[:, s:2 * s])
         s *= 2
-    # Row j of a block is k = k0 + j and column c is ell = lo + c + 1, with
-    # k0 = 2*lo + 1: k > 2*ell exactly when j >= 2*c + 2.
-    dead = np.arange(B)[:, None] >= 2 * np.arange(half) + 2
+    a_pow, b_pow = pows
     # Row pairs (k odd, k even) of a block, as offsets from k0.
     offsets = np.arange(B, dtype=np.int32).reshape(half, 2, 1)
     unset = np.int32(1 << 30)
@@ -147,15 +143,7 @@ def brute_force_sweep(pair: Pair, ell_max: int) -> list[Verdict]:
         ak -= nbk
         # C remainder: its sign differs from %, but only zero matters.
         hit = np.fmod(ak, m, out=ak) == 0
-        n = hit.shape[1]
-        hit[:, :half][dead[:, :n]] = False
-        k = np.where(hit.reshape(half, 2, n), offsets + k0, unset).min(axis=0)
+        k = np.where(hit.reshape(half, 2, -1), offsets + k0, unset).min(axis=0)
         np.minimum(first[:, lo:], k, out=first[:, lo:])
     first[first == unset] = 0
-    out = []
-    for ell, (wo, we) in enumerate(zip(first[0].tolist(), first[1].tolist()), 1):
-        witness = min(w for w in (wo, we) if w) if (wo or we) else None
-        out.append(
-            Verdict(ell, witness is not None, wo > 0, we > 0, witness, "brute_force")
-        )
-    return out
+    return list(map(_verdict, range(1, ell_max + 1), *first.tolist()))

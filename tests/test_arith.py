@@ -132,21 +132,6 @@ class TestNu2:
         assert n % (1 << g) == 0 and (n // (1 << g)) % 2 != 0
 
 
-class TestCarmichael:
-    def test_known_values(self):
-        for n, lam in [(1, 1), (2, 1), (4, 2), (8, 2), (16, 4), (15, 4),
-                       (35, 12), (561, 80), (100, 20)]:
-            assert arith.carmichael_lambda(n) == lam
-
-    @given(st.integers(1, 5000))
-    @settings(max_examples=200)
-    def test_annihilates_all_units(self, m):
-        lam = arith.carmichael_lambda(m)
-        for x in range(1, min(m, 60)):
-            if math.gcd(x, m) == 1:
-                assert pow(x, lam, m) == 1 % m
-
-
 class TestMultiplicativeOrder:
     def test_order_of_11_mod_8(self):
         assert arith.multiplicative_order(11, 8) == 2

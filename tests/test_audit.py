@@ -4,6 +4,7 @@ import os
 import pickle
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -231,6 +232,17 @@ class TestSweepBounds:
         monkeypatch.setattr(oracle, "brute_force_sweep", None)  # any work would fail
         with pytest.raises(ValueError):
             sweep(*bounds)
+
+    def test_largest_small_sweep_within_budget(self, monkeypatch):
+        # 612 is the largest accepted square at ell_max 1: 113 901 pairs of
+        # 17 501 work units each, 1.993 * 10**9; 613 has 2.004 * 10**9.  The
+        # budget is criterion 02's gate.
+        t0 = time.perf_counter()
+        assert audit.crossval_sweep(612, 612, 1) == []
+        assert time.perf_counter() - t0 <= 60.0
+        monkeypatch.setattr(oracle, "brute_force_sweep", None)  # any work would fail
+        with pytest.raises(ValueError):
+            audit.crossval_sweep(613, 613, 1)
 
 
 class TestParallelMap:

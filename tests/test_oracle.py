@@ -159,17 +159,20 @@ class TestSweep:
         assert oracle.brute_force_sweep(Pair(1, 2), 0) == []
 
     def test_suffix_boundaries(self):
-        # Each modulus leaves the scan after k = 2*ell; the smallest ell_max
-        # values and both parities of ell_max pin where the live suffix starts.
-        # k advances in blocks of B: ell_max at B/2 +- 1 and B +- 1 ends the
-        # scan inside, at the end of or just past a block, and 2B spans two.
-        # (6, 35) has moduli sharing a factor with ab, which never hit; it and
-        # (2, 1) hit past 2*ell inside a block, where the scan masks the hits.
+        # Each modulus leaves the scan after the block that passes k = 2*ell;
+        # the smallest ell_max values and both parities of ell_max pin where
+        # the live suffix starts.  The table has the least power of two
+        # >= 2*ell_max rows, at most B: ell_max 1, 2, 3, 5 and 9 are the first
+        # with 2, 4, 8, 16 and 32 rows.  k advances in blocks of B: ell_max at
+        # B/2 +- 1 and B +- 1 ends the scan inside, at the end of or just past
+        # a block, and 2B spans two.  (6, 35) has moduli sharing a factor with
+        # ab, which never hit; it and (2, 1) hit past 2*ell inside a block,
+        # where the scan keeps scanning to the block's end.
         B = oracle._BLOCK
         for a, b in [(1, -1), (-1, 1), (2, 1), (-7, 4), (6, 35)]:
             pair = Pair(a, b)
             scanned = [witness_by_scan(a, b, ell, 4 * ell) for ell in range(1, 301)]
-            for ell_max in (1, 2, 3, 4, 5, 6, B // 2 - 1, B // 2, B // 2 + 1,
+            for ell_max in (1, 2, 3, 4, 5, 6, 8, 9, B // 2 - 1, B // 2, B // 2 + 1,
                             B - 1, B, B + 1, 2 * B, 299, 300):
                 swept = oracle.brute_force_sweep(pair, ell_max)
                 assert [v.ell for v in swept] == list(range(1, ell_max + 1))

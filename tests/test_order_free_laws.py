@@ -1,4 +1,4 @@
-"""Order-free laws for odd prime powers, checked on primes up to 2**63.
+"""Order-free laws on moduli built from primes up to 2**63.
 
 Brute force stops at ell <= 10**4 in the audits, so above that the deciders
 are checked only against the order oracle, and both stand on
@@ -17,6 +17,9 @@ gives (x/p) = (ab/p), since (b**-1/p) = (b/p):
   2-adic valuation nu2(p - 1), and ell is good iff these all agree (some
   x**k = -1 mod every p at once), with smallest witness Ord_ell(x)/2, odd
   iff every nu2(p - 1) is 1.
+- ell = 2**beta times such a product d: for odd ab, beta = 1 decides as d
+  does, and beta >= 2 is good iff x = -1 (mod 2**beta) and every
+  nu2(p - 1) is 1, always with an odd witness; for even ab, ell is bad.
 """
 
 import math
@@ -161,3 +164,40 @@ def test_non_residue_products_good_iff_nu2_agree(a, b, primes):
                 assert v.witness % 2 == oddly, (a, b, ps, v.method)
             else:
                 assert v.witness is None, (a, b, ps, v.method)
+
+
+# Every odd pair of PAIRS has 4 | a + b, so x = -1 (mod 4); (-3, 5) adds one
+# with x = 1 (mod 4), bad at every beta >= 2.
+@pytest.mark.parametrize("a,b", PAIRS + [(-3, 5)])
+def test_two_power_times_non_residue_products(a, b, primes):
+    # ell = 2**beta * d, d odd.  For an odd pair 2 divides every a**k + b**k,
+    # so at beta = 1 ell decides as d does.  At beta >= 2 only odd k give
+    # x**k = -1 (mod 2**beta), and those exactly when x = -1 (mod 2**beta);
+    # d then needs an odd witness, which holds iff every nu2(p - 1) is 1.
+    # For an even pair 2 divides ab, so every even ell is bad.
+    pair = Pair(a, b)
+    seen = 0
+    for ps in non_residue_products(a * b, primes):
+        d = math.prod(ps)
+        nu2s = {nu2_of(p - 1) for p in ps}
+        good_d, oddly_d = len(nu2s) == 1, nu2s == {1}
+        beta = 1
+        while d << beta < LIMIT:
+            ell = d << beta
+            if not pair.ab_odd:
+                good = oddly = evenly = False
+            elif beta == 1:
+                good, oddly, evenly = good_d, oddly_d, good_d and not oddly_d
+            else:
+                x = a * pow(b, -1, 2**beta) % 2**beta
+                good = oddly = x == 2**beta - 1 and oddly_d
+                evenly = False
+            for v in verdicts(pair, ell):
+                assert v.flags() == (good, oddly, evenly), (a, b, ps, beta, v.method)
+                if good:
+                    assert v.witness % 2 == oddly, (a, b, ps, beta, v.method)
+                else:
+                    assert v.witness is None, (a, b, ps, beta, v.method)
+            seen += 1
+            beta += 1
+    assert seen
