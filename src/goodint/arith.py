@@ -20,11 +20,14 @@ FACTOR_INPUT_LIMIT = 2**63
 # 1. Below 2**16, m's factors are read off _SPF: the smallest odd prime
 #    factor of each odd composite below 2**16, 0 for 1 and the primes.  Such
 #    a factor is at most 251, so one byte per entry suffices (64 KiB).
-# 2. Above that, trial division by the odd primes below 2**10, stopping once
-#    p * p exceeds the cofactor.  What is left then has no prime factor below
-#    2**10, so below 2**20 it is 1 or prime and needs no primality test.
+# 2. Above that, one gcd with _TRIAL_PRODUCT, the product of the odd primes
+#    below 2**10 (about 1.4 k bits), names the small primes of m, and only
+#    those are divided out.  What is left has no prime factor below 2**10,
+#    so below 2**20 it is 1 or prime and needs no primality test.
 # 3. Only a larger cofactor goes on to Miller-Rabin, the perfect-square split
-#    and Pollard rho, which beat a longer Python loop.
+#    and Pollard rho, which beat a longer Python loop.  Miller-Rabin picks
+#    its bases by size: three below 4759123141, seven below 2**64, twelve
+#    above.
 _SPF_LIMIT = 2**16
 _TRIAL_LIMIT = 2**10
 _TRIAL_SQUARE = _TRIAL_LIMIT * _TRIAL_LIMIT
@@ -32,6 +35,7 @@ _TRIAL_PRIMES = tuple(
     p for p in range(3, _TRIAL_LIMIT, 2)
     if all(p % q for q in range(3, math.isqrt(p) + 1, 2))
 )
+_TRIAL_PRODUCT = math.prod(_TRIAL_PRIMES)
 
 
 def _spf_table() -> bytes:
@@ -45,8 +49,13 @@ def _spf_table() -> bytes:
 
 _SPF = _spf_table()
 
-# Witnesses making Miller-Rabin deterministic for all n < 3.3 * 10**24,
-# which covers every input we accept.
+# Miller-Rabin bases, each set deterministic below its bound: (2, 7, 61)
+# below 4759123141 (Jaeschke, Math. Comp. 1993), Sinclair's seven bases below
+# 2**64, and the first twelve primes below 3.3 * 10**24, which covers every
+# input we accept.  The twelve primes also screen out small factors.
+_MR_BASES_32 = (2, 7, 61)
+_MR_LIMIT_32 = 4759123141
+_MR_BASES_64 = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
@@ -86,15 +95,31 @@ def nu2(n: int) -> int:
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin (exact for n < 3.3e24)."""
+    """Deterministic Miller-Rabin (exact for n < 3.3e24).
+
+    After a screen by the primes up to 37, the bases depend on n's size:
+    (2, 7, 61) below 4759123141 (Jaeschke, "On strong pseudoprimes to
+    several bases", Math. Comp. 1993), Sinclair's seven bases (2011) below
+    2**64, and the primes up to 37 above.  Each base is reduced mod n and skipped
+    when it reduces to 0.
+    """
     if n < 2:
         return False
     for p in _MR_BASES:
         if n % p == 0:
             return n == p
+    if n < _MR_LIMIT_32:
+        bases = _MR_BASES_32
+    elif n < 1 << 64:
+        bases = _MR_BASES_64
+    else:
+        bases = _MR_BASES
     s = nu2(n - 1)
     d = (n - 1) >> s
-    for a in _MR_BASES:
+    for a in bases:
+        a %= n
+        if a == 0:
+            continue
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -122,7 +147,7 @@ def _pollard_rho(n: int) -> int:
                 ys = y
                 for _ in range(min(128, r - k)):
                     y = (y * y + c) % n
-                    q = q * abs(x - y) % n
+                    q = q * (x - y) % n
                 g = math.gcd(q, n)
                 k += 128
             r <<= 1
@@ -130,31 +155,34 @@ def _pollard_rho(n: int) -> int:
             g = 1
             while g == 1:
                 ys = (ys * ys + c) % n
-                g = math.gcd(abs(x - ys), n)
+                g = math.gcd(x - ys, n)
         if g != n:
             return g
         c += 1  # cycle collapsed; retry with a new polynomial
 
 
-def _split(m: int, out: dict[int, int]) -> None:
-    """Add the prime factors of m > 1, which has none below 2**10, to out.
+def _split(m: int, out: dict[int, int], mult: int = 1) -> None:
+    """Add the prime factors of m**mult, m > 1 with none below 2**10, to out.
 
     Such an m below 2**20 is prime: a composite would be at least 1031**2.
+    A larger m is a prime (Miller-Rabin), a perfect square or split by
+    Brent's Pollard rho (Brent, "An improved Monte Carlo factorization
+    algorithm", BIT 1980).
     """
     if m >= _TRIAL_SQUARE:
         # Rho needs ~sqrt(p) steps for the smallest prime p; a perfect square
-        # is its worst case (p = sqrt(m) for p**2), so split on the root.
+        # is its worst case (p = sqrt(m) for p**2), so split on the root,
+        # once, counting its primes twice.
         r = math.isqrt(m)
         if r * r == m:
-            _split(r, out)
-            _split(r, out)
+            _split(r, out, 2 * mult)
             return
         if not is_prime(m):
             g = _pollard_rho(m)
-            _split(g, out)
-            _split(m // g, out)
+            _split(g, out, mult)
+            _split(m // g, out, mult)
             return
-    out[m] = out.get(m, 0) + 1
+    out[m] = out.get(m, 0) + mult
 
 
 @lru_cache(maxsize=1 << 16)
@@ -162,11 +190,11 @@ def factorize(n: int) -> Factorization:
     """Complete factorization of n, 1 <= n <= 2**63.
 
     An odd part below 2**16 is read off the smallest-prime-factor table.
-    A larger one goes to trial division by the odd primes below 2**10,
-    which stops as soon as p * p exceeds the cofactor.  A cofactor below
-    2**20 is then 1 or prime; a larger one is a prime (deterministic
-    Miller-Rabin), a perfect square (split on its integer root) or split by
-    Pollard rho, so results are reproducible.
+    A larger one shares a gcd with the product of the odd primes below
+    2**10, and only the primes of that gcd are divided out.  A cofactor
+    below 2**20 is then 1 or prime; a larger one is a prime (deterministic
+    Miller-Rabin, bases by size), a perfect square (split once on its
+    integer root) or split by Pollard rho, so results are reproducible.
     """
     if n < 1:
         raise ValueError(f"cannot factor non-positive {n}")
@@ -181,10 +209,12 @@ def factorize(n: int) -> Factorization:
             m //= p
             fac[p] = fac.get(p, 0) + 1
         return Factorization(n, beta, tuple(fac.items()))
+    g = math.gcd(m, _TRIAL_PRODUCT)
     for p in _TRIAL_PRIMES:
-        if p * p > m:
+        if g == 1:
             break
-        if m % p == 0:
+        if g % p == 0:
+            g //= p
             m //= p
             e = 1
             while m % p == 0:

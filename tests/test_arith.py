@@ -74,6 +74,20 @@ class TestFactorize:
             got.update(f.odd_part)
             assert got == factor_by_trial(n), n
 
+    def test_square_root_tested_once(self, cold_caches, monkeypatch):
+        # A perfect square splits on its root once and counts it twice.
+        calls = []
+        real = arith.is_prime
+
+        def counted(n):
+            calls.append(n)
+            return real(n)
+
+        monkeypatch.setattr(arith, "is_prime", counted)
+        r = 2**31 - 1
+        assert arith.factorize(r * r).odd_part == ((r, 2),)
+        assert calls.count(r) == 1
+
     def test_table_tier_matches_trial_division(self, cold_caches):
         # Every odd m below 2**16: the table holds m's smallest prime factor
         # (0 for 1 and the primes), and factorize reads m off it.
@@ -109,6 +123,18 @@ class TestIsPrime:
 
     def test_large_prime(self):
         assert arith.is_prime(2**61 - 1)
+
+    def test_small_base_set_boundary(self):
+        # 4759123141 = 48781 * 97561 is a strong pseudoprime to 2, 7 and 61,
+        # the least one, so (2, 7, 61) decide primality exactly below it.
+        n = 4759123141
+        assert n == 48781 * 97561
+        s = ((n - 1) & (1 - n)).bit_length() - 1
+        for a in (2, 7, 61):
+            x = pow(a, (n - 1) >> s, n)
+            assert x == 1 or any(pow(x, 2**i, n) == n - 1 for i in range(s))
+        assert not arith.is_prime(n)
+        assert arith.is_prime(61) and arith.is_prime(4759123129) and arith.is_prime(4759123151)
 
 
 class TestNu2:

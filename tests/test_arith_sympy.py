@@ -30,7 +30,17 @@ mixed = st.tuples(st.integers(1, 2**20),
 rho_inputs = st.one_of(semiprimes, prime_squares, prime_cubes, mixed,
                        st.integers(1, LIMIT))
 
-FIXED = (1031 * 1033, 999983**2, (2**31 - 1) ** 2, 2**61 - 1, 3215031751)
+FIXED = (1031 * 1033, 999983**2, (2**31 - 1) ** 2, 2**61 - 1, 3215031751,
+         # Small primes found by one gcd: the largest beside a prime just past
+         # 2**10, the largest to a power, all odd ones to 47 under a 2-part
+         # (2**5 would pass 2**63), and 3 alone.
+         1021 * 1031, 1021**5, 2**4 * math.prod(sympy.primerange(3, 48)), 3**39)
+
+# Each Miller-Rabin base set at its bound: 4759123141 = 48781 * 97561 fools
+# (2, 7, 61) and must take the 64-bit set; 4759123129 and 4759123151 are the
+# primes beside it; 2**64 - 59 and 2**64 + 13 are the primes beside 2**64.
+MR_BOUNDARY = (4759123141, 4759123129, 4759123151, 2**64 - 59, 2**64 + 13,
+               2**64 - 1, 2**64 + 1, 3215031751, 3825123056546413051)
 
 
 def _as_dict(f: arith.Factorization) -> dict[int, int]:
@@ -56,6 +66,11 @@ def test_factorize_matches_factorint(n):
 @example(2**61 - 1)
 @example(1031 * 1033)
 def test_is_prime_matches_isprime(n):
+    assert arith.is_prime(n) == sympy.isprime(n)
+
+
+@pytest.mark.parametrize("n", MR_BOUNDARY)
+def test_is_prime_base_set_boundaries(n):
     assert arith.is_prime(n) == sympy.isprime(n)
 
 

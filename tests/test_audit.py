@@ -221,6 +221,31 @@ class TestWholeOrderVariant:
         assert {v: [(f.a, f.b, f.modulus) for f in fs] for v, fs in got.items()} == expected
         assert expected["literal"]
 
+    def test_literal_list_matches_printed_condition(self):
+        # Theorem 2's printed condition read from its definitions, sharing
+        # nothing with audit: x = -1 (mod 2**beta) and 2 || Ord_d(x), the
+        # order found by a linear scan.  The truth is the definitional scan.
+        expected = []
+        for a in range(1, 10, 2):
+            for b in range(1, 10, 2):
+                if math.gcd(a, b) != 1:
+                    continue
+                for ell in range(4, 201, 4):
+                    beta = (ell & -ell).bit_length() - 1
+                    d = ell >> beta
+                    if d < 3 or math.gcd(a * b, ell) != 1:
+                        continue
+                    x = a * pow(b, -1, ell) % ell
+                    lit = (x % 2**beta == 2**beta - 1
+                           and order_by_scan(x % d, d) % 4 == 2)
+                    truth = oracle.brute_force_verdict(Pair(a, b), ell).oddly_good
+                    if lit != truth:
+                        expected.append((a, b, ell, x, lit, truth))
+        got = [(f.a, f.b, f.modulus, f.x, f.literal_verdict, f.oracle_verdict)
+               for f in audit.audit_odd_witness_variants(9, 9, 200)["literal"]]
+        assert got == expected
+        assert expected
+
 
 class TestSweepBounds:
     @pytest.mark.parametrize("sweep", [audit.crossval_sweep, audit.audit_odd_witness_variants])

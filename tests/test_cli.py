@@ -70,6 +70,28 @@ class TestClassify:
         proc = run_cli("classify", "--a", "1", "--b", "2")
         assert proc.returncode == 1
 
+    def test_corollary_reports_s_when_two_part_fails(self, capsys):
+        # At ell = 12 = 4 * 3 the 2-part of (1, 5) fails (nu2(6) = 1 < 2),
+        # yet the corollary verdict still reports s for the odd part.
+        assert cli.main(["classify", "--a", "1", "--b", "5", "--ell", "12",
+                         "--method", "corollary"]) == 0
+        (line,) = capsys.readouterr().out.splitlines()
+        assert '"s_val2":1' in line and '"good":false' in line
+
+    def test_disagreeing_witness_breaks_agreement(self, monkeypatch, capsys):
+        real = oracle.order_oracle_verdict
+
+        def off_by_two(pair, ell):
+            v = real(pair, ell)
+            return v._replace(witness=v.witness + 2)
+
+        monkeypatch.setattr(oracle, "order_oracle_verdict", off_by_two)
+        assert cli.main(["classify", "--a", "1", "--b", "2", "--ell", "5",
+                         "--method", "all"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 3
+        assert all(line.endswith('"agreement":false}') for line in lines)
+
     def test_brute_force_left_out_above_its_limit(self):
         t0 = time.monotonic()
         proc = run_cli("classify", "--a", "3", "--b", "5", "--ell", "1000000007", timeout=10)
@@ -101,6 +123,14 @@ class TestEnumerate:
                        "--filter", "good", "--jobs", "1")
         assert proc.returncode == 0
         assert [r["ell"] for r in records(proc)] == [1, 3, 5, 9]
+
+    def test_evenly_filter(self, capsys):
+        # ell 1 and 2 are good, oddly good and evenly good at once; ell 4 is
+        # oddly good only, and 3 divides 3 * 5.
+        assert cli.main(["enumerate", "--a", "3", "--b", "5", "--max", "4",
+                         "--filter", "evenly", "--jobs", "1"]) == 0
+        recs = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert [r["ell"] for r in recs] == [1, 2]
 
     def test_empty_range(self):
         proc = run_cli("enumerate", "--a", "1", "--b", "2", "--max", "0")
