@@ -200,7 +200,7 @@ def factorize(n: int) -> Factorization:
         raise ValueError(f"cannot factor non-positive {n}")
     if n > FACTOR_INPUT_LIMIT:
         raise ValueError(f"{n} exceeds the supported bound 2**63")
-    beta = nu2(n) if n > 1 else 0
+    beta = nu2(n)
     m = n >> beta
     fac: dict[int, int] = {}
     if m < _SPF_LIMIT:
@@ -263,8 +263,6 @@ def multiplicative_order(x: int, m: int) -> int:
     g = math.gcd(x, m)
     if g != 1:
         raise ValueError(f"order undefined: gcd({x}, {m}) = {g}")
-    if m <= 2:
-        return 1
     return math.lcm(*[_prime_power_order(x % p**e, p, e)
                       for p, e in factorize(m).prime_items()])
 

@@ -9,6 +9,10 @@ Theorem 2's whole-modulus odd-witness condition) are false in general and
 the scans exhibit the smallest refuting instances; the cross-validation
 sweep runs the case-analysis classifiers against the definitional oracle
 and is expected to stay silent.
+
+The two pair audits, thm2_literal and cross-validation, share one driver:
+_sweep refuses out-of-bounds or overpriced sweeps before any work, and each
+pair's brute-force sweep is built once and handed to the audit's own check.
 """
 
 from __future__ import annotations
@@ -236,55 +240,8 @@ def _negation_block(block):
 
 
 # ---------------------------------------------------------------------------
-# Whole-modulus vs per-prime order condition for odd witnesses.
+# Pair sweeps: one driver, and one per-pair check per audit.
 # ---------------------------------------------------------------------------
-
-def _odd_witness_pairs(a_max: int, b_max: int) -> list[tuple[int, int]]:
-    """Ordered coprime odd pairs a <= a_max, b <= b_max."""
-    return [
-        (a, b)
-        for a in range(1, a_max + 1, 2)
-        for b in range(1, b_max + 1, 2)
-        if math.gcd(a, b) == 1
-    ]
-
-
-def _literal_oddly_good(pair: Pair, f: arith.Factorization, oddly: bool) -> bool:
-    """Theorem 2's printed oddly-good condition at ell = f.n, given the true bit.
-
-    The two differ only when beta >= 2 and d > 1, where the printed reading
-    asks for x = -1 (mod 2**beta) and 2 || Ord_d(x) for the whole odd part d
-    instead of per prime.  Requires gcd(ab, ell) = 1.
-    """
-    beta, d = f.beta, f.odd_value
-    if beta < 2 or d == 1:
-        return oddly
-    m = 1 << beta
-    return (pair.residue(m) == m - 1
-            and arith.nu2(arith.multiplicative_order(pair.residue(d), d)) == 1)
-
-
-def _odd_witness_pair_findings(task) -> tuple[list[AuditFinding], list[AuditFinding]]:
-    """The literal and the per_prime findings of one pair, in ell order."""
-    a, b, ells, ell_max = task
-    pair = Pair(a, b)
-    sweep = oracle.brute_force_sweep(pair, ell_max)
-    literal, per_prime = [], []
-    for ell in ells:
-        if math.gcd(a * b, ell) != 1:
-            continue
-        truth = sweep[ell - 1].oddly_good
-        # One decision per ell: the literal reading differs only in this bit.
-        per = classify.is_good(pair, ell).oddly_good
-        lit = _literal_oddly_good(pair, arith.factorize(ell), per)
-        if lit != truth:
-            literal.append(_finding(CLAIM_WHOLE_ORDER_VARIANT, a, b, ell,
-                                    pair.residue(ell), lit, truth, note="variant=literal"))
-        if per != truth:
-            per_prime.append(_finding(CLAIM_CUSTOM, a, b, ell, pair.residue(ell),
-                                      per, truth, note="variant=per_prime"))
-    return literal, per_prime
-
 
 # Work units of a pair sweep: per pair, ell_max * (ell_max + _SWEEP_PER_ELL)
 # + _SWEEP_PER_PAIR.  The brute-force scan grows with ell_max**2; the per-ell
@@ -300,12 +257,14 @@ _SWEEP_PER_PAIR = 15000
 _SWEEP_WORK_LIMIT = 2 * 10**9
 
 
-def _check_sweep_bounds(a_max: int, b_max: int, ell_max: int, pairs_for) -> list:
-    """The pairs of a sweep, pairs_for(a_max, b_max), if the sweep is accepted.
+def _sweep(a_max: int, b_max: int, ell_max: int, pairs_for, check,
+           jobs: int) -> list[AuditFinding]:
+    """check(pair, brute_force_sweep(pair, ell_max)) over pairs_for(a_max, b_max).
 
     Refuses a_max, b_max outside 0..10**3 or ell_max outside 1..10**4 before
     any pair is built, then a sweep of more than 2*10**9 work units,
-    pairs * (ell_max * (ell_max + 2500) + 15000).
+    pairs * (ell_max * (ell_max + 2500) + 15000), before any scan.  Runs one
+    task per pair across jobs processes and concatenates the findings.
     """
     if not 1 <= ell_max <= 10**4:
         raise ValueError(f"ell_max must be in 1..10**4, got {ell_max}")
@@ -317,11 +276,62 @@ def _check_sweep_bounds(a_max: int, b_max: int, ell_max: int, pairs_for) -> list
     if len(pairs) * per_pair > _SWEEP_WORK_LIMIT:
         raise ValueError(f"sweep too large: {len(pairs)} pairs * {per_pair} work units "
                          f"exceeds {_SWEEP_WORK_LIMIT}")
-    return pairs
+    tasks = [(a, b, ell_max, check) for a, b in pairs]
+    return [f for found in parallel_map(_sweep_pair, tasks, jobs) for f in found]
+
+
+def _sweep_pair(task) -> list[AuditFinding]:
+    a, b, ell_max, check = task
+    pair = Pair(a, b)
+    return check(pair, oracle.brute_force_sweep(pair, ell_max))
+
+
+# Theorem 2: the whole-modulus vs the per-prime order condition for odd witnesses.
+
+def _odd_witness_pairs(a_max: int, b_max: int) -> list[tuple[int, int]]:
+    """Ordered coprime odd pairs a <= a_max, b <= b_max."""
+    return [
+        (a, b)
+        for a in range(1, a_max + 1, 2)
+        for b in range(1, b_max + 1, 2)
+        if math.gcd(a, b) == 1
+    ]
+
+
+def _literal_oddly_good(pair: Pair, f: arith.Factorization) -> bool:
+    """Theorem 2's printed oddly-good condition at ell = f.n, beta >= 2 and d > 1.
+
+    The printed reading asks for x = -1 (mod 2**beta) and 2 || Ord_d(x) for
+    the whole odd part d instead of per prime.  Requires gcd(ab, ell) = 1.
+    """
+    m, d = 1 << f.beta, f.odd_value
+    return (pair.residue(m) == m - 1
+            and arith.nu2(arith.multiplicative_order(pair.residue(d), d)) == 1)
+
+
+def _odd_witness_check(pair: Pair, sweep: list) -> list[AuditFinding]:
+    """The literal and per_prime findings of one pair, in ell order, over
+    ell = 2**beta * d coprime to ab with beta >= 2 and d >= 3."""
+    a, b = pair.a, pair.b
+    out = []
+    for ell in range(4, len(sweep) + 1, 4):
+        if ell & (ell - 1) == 0 or math.gcd(a * b, ell) != 1:
+            continue  # a power of two, or not coprime
+        truth = sweep[ell - 1].oddly_good
+        # One decision per ell: the literal reading differs only in this bit.
+        per = classify.is_good(pair, ell).oddly_good
+        lit = _literal_oddly_good(pair, arith.factorize(ell))
+        if lit != truth:
+            out.append(_finding(CLAIM_WHOLE_ORDER_VARIANT, a, b, ell,
+                                pair.residue(ell), lit, truth, note="variant=literal"))
+        if per != truth:
+            out.append(_finding(CLAIM_CUSTOM, a, b, ell, pair.residue(ell),
+                                per, truth, note="variant=per_prime"))
+    return out
 
 
 def audit_odd_witness_variants(a_max: int, b_max: int, ell_max: int,
-                               jobs: int | None = None) -> dict[str, list[AuditFinding]]:
+                               jobs: int = 1) -> dict[str, list[AuditFinding]]:
     """The printed and the per-prime odd-witness condition vs. the definitional oracle.
 
     Sweeps every ordered coprime odd pair (a <= a_max, b <= b_max) and every
@@ -332,20 +342,12 @@ def audit_odd_witness_variants(a_max: int, b_max: int, ell_max: int,
     b_max in 0..10**3, ell_max in 1..10**4, and
     pairs * (ell_max * (ell_max + 2500) + 15000) <= 2*10**9.
     """
-    pairs = _check_sweep_bounds(a_max, b_max, ell_max, _odd_witness_pairs)
-    # The moduli 2**beta * d with beta >= 2 and d >= 3.
-    ells = [ell for ell in range(4, ell_max + 1, 4) if (ell >> arith.nu2(ell)) >= 3]
-    tasks = [(a, b, ells, ell_max) for a, b in pairs]
-    grouped: dict[str, list[AuditFinding]] = {"literal": [], "per_prime": []}
-    for literal, per_prime in parallel_map(_odd_witness_pair_findings, tasks, jobs or 1):
-        grouped["literal"].extend(literal)
-        grouped["per_prime"].extend(per_prime)
-    return grouped
+    found = _sweep(a_max, b_max, ell_max, _odd_witness_pairs, _odd_witness_check, jobs)
+    return {"literal": [f for f in found if f.claim_id == CLAIM_WHOLE_ORDER_VARIANT],
+            "per_prime": [f for f in found if f.claim_id == CLAIM_CUSTOM]}
 
 
-# ---------------------------------------------------------------------------
 # Cross-validation: every classifier against the definitional oracle.
-# ---------------------------------------------------------------------------
 
 def _crossval_pairs(a_max: int, b_max: int) -> list[tuple[int, int]]:
     """Coprime pairs a <= a_max, a < b <= b_max."""
@@ -357,13 +359,11 @@ def _crossval_pairs(a_max: int, b_max: int) -> list[tuple[int, int]]:
     ]
 
 
-def _crossval_pair(task) -> list[AuditFinding]:
-    a, b, ell_max = task
-    pair = Pair(a, b)
-    sweep = oracle.brute_force_sweep(pair, ell_max)
+def _crossval_check(pair: Pair, sweep: list) -> list[AuditFinding]:
+    """Every decider's disagreement with brute force for one pair, in ell order."""
+    a, b = pair.a, pair.b
     out = []
-    for ell in range(1, ell_max + 1):
-        truth = sweep[ell - 1]
+    for ell, truth in enumerate(sweep, 1):
         candidates = {
             "order_oracle": oracle.order_oracle_verdict(pair, ell),
             "case_analysis": classify.is_good(pair, ell),
@@ -380,7 +380,7 @@ def _crossval_pair(task) -> list[AuditFinding]:
 
 
 def crossval_sweep(a_max: int, b_max: int, ell_max: int,
-                   jobs: int | None = None) -> list[AuditFinding]:
+                   jobs: int = 1) -> list[AuditFinding]:
     """Compare all deciders with brute force over coprime pairs a < b.
 
     Covers every coprime (a, b) with a <= a_max, a < b <= b_max and every
@@ -388,9 +388,4 @@ def crossval_sweep(a_max: int, b_max: int, ell_max: int,
     finding is a defect somewhere.  Bounds: a_max, b_max in 0..10**3, ell_max
     in 1..10**4, and pairs * (ell_max * (ell_max + 2500) + 15000) <= 2*10**9.
     """
-    pairs = _check_sweep_bounds(a_max, b_max, ell_max, _crossval_pairs)
-    tasks = [(a, b, ell_max) for a, b in pairs]
-    out: list[AuditFinding] = []
-    for chunk in parallel_map(_crossval_pair, tasks, jobs or 1):
-        out.extend(chunk)
-    return out
+    return _sweep(a_max, b_max, ell_max, _crossval_pairs, _crossval_check, jobs)

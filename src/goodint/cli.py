@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from contextlib import closing
@@ -222,14 +221,13 @@ def _cmd_audit(args) -> int:
     if args.claim == "jitman-eq2":
         _write_negation_findings(args.d_max)
         return EXIT_OK
+    bounds = (args.a_max, args.b_max, args.ell_max, args.jobs)
     if args.claim == "thm2-literal":
-        findings = audit.audit_odd_witness_variants(
-            args.a_max, args.b_max, args.ell_max, jobs=args.jobs)["literal"]
-        _write_findings(sorted(findings, key=lambda f: (f.modulus, f.a, f.b)))
-        return EXIT_OK
-    findings = audit.crossval_sweep(args.a_max, args.b_max, args.ell_max, jobs=args.jobs)
+        findings = audit.audit_odd_witness_variants(*bounds)["literal"]
+    else:
+        findings = audit.crossval_sweep(*bounds)
     _write_findings(sorted(findings, key=lambda f: (f.modulus, f.a, f.b)))
-    return EXIT_DISCREPANCY if findings else EXIT_OK
+    return EXIT_DISCREPANCY if findings and args.claim == "crossval" else EXIT_OK
 
 
 # ---------------------------------------------------------------------------

@@ -189,8 +189,7 @@ class TestWholeOrderVariant:
         for f in audit.audit_odd_witness_variants(15, 15, 200)["literal"]:
             pair = Pair(f.a, f.b)
             bv = oracle.brute_force_verdict(pair, f.modulus)
-            per = classify.is_good(pair, f.modulus).oddly_good
-            lit = audit._literal_oddly_good(pair, arith.factorize(f.modulus), per)
+            lit = audit._literal_oddly_good(pair, arith.factorize(f.modulus))
             assert lit != bv.oddly_good
 
     def test_one_decision_per_instance(self, monkeypatch):
@@ -205,7 +204,7 @@ class TestWholeOrderVariant:
             pair = Pair(a, b)
             truth = oracle.brute_force_verdict(pair, ell).oddly_good
             per = classify.is_good(pair, ell).oddly_good
-            lit = audit._literal_oddly_good(pair, arith.factorize(ell), per)
+            lit = audit._literal_oddly_good(pair, arith.factorize(ell))
             for variant, bit in (("literal", lit), ("per_prime", per)):
                 if bit != truth:
                     expected[variant].append((a, b, ell))

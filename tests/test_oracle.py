@@ -62,6 +62,29 @@ class TestBruteForce:
             for ell in range(1, 301):
                 assert oracle.brute_force_verdict(pair, ell) == swept[ell - 1]
 
+    def test_odd_common_period_has_no_witness(self):
+        # The law behind brute_force_verdict's early stop at an odd k: if
+        # a**k = b**k = 1 (mod ell > 2) with k odd, the order of a * b**-1
+        # divides k, so -1 is no power of it and no k is a witness.  The
+        # first such k is the common period; any other is a multiple of it.
+        seen = 0
+        for a in range(-13, 14):
+            for b in range(1, 14):
+                if not a or math.gcd(a, b) != 1:
+                    continue
+                for ell in range(3, 120):
+                    if math.gcd(a * b, ell) != 1:
+                        continue
+                    k, pa, pb = 1, a % ell, b % ell
+                    while not pa == pb == 1:
+                        k, pa, pb = k + 1, pa * a % ell, pb * b % ell
+                    if k % 2 == 0:
+                        continue
+                    seen += 1
+                    assert witness_by_scan(a, b, ell, 2 * ell) == (None, None, None), (a, b, ell)
+                    assert not oracle.brute_force_verdict(Pair(a, b), ell).good
+        assert seen
+
     def test_shared_factor_scan_finds_nothing(self):
         for a, b, ell in [(2, 1, 4), (6, 1, 3), (2, 3, 10), (4, 9, 6)]:
             v = oracle.brute_force_verdict(Pair(a, b), ell)

@@ -201,3 +201,60 @@ def test_two_power_times_non_residue_products(a, b, primes):
             seen += 1
             beta += 1
     assert seen
+
+
+# Two facts the deciders rely on without testing them, over a fixed grid:
+# odd a in -15..15, odd b in 1..15, coprime, every ell < 1500.
+GRID = [Pair(a, b) for a in range(-15, 16, 2) for b in range(1, 16, 2)
+        if math.gcd(a, b) == 1]
+GRID_ELL = 1500
+
+
+def test_four_dividing_ell_is_never_evenly_good():
+    # With 4 | ell only odd k give x**k = -1 (mod 4) for an odd pair, so a
+    # good ell is oddly-good and never evenly-good.
+    seen = 0
+    for pair in GRID:
+        for ell in range(4, GRID_ELL, 4):
+            for v in (classify.is_good(pair, ell),
+                      classify.is_good_via_sum_valuation(pair, ell)):
+                seen += v.good
+                assert not v.evenly_good, (pair, ell, v.method)
+    assert seen
+
+
+def test_order_claim_is_true_wherever_set():
+    # nu2 of the order mod p**e equals its value mod p, and the 2-part adds
+    # 0 (beta <= 1) or 1 = s (beta >= 2, good), so Ord_ell(x) always carries
+    # the common valuation s.
+    claims = [v.order_claim_ok for pair in GRID for ell in range(1, GRID_ELL)
+              for v in [classify.is_good_via_sum_valuation(pair, ell)]
+              if v.order_claim_ok is not None]
+    assert claims and all(claims)
+
+
+def odd_primes(n: int) -> list[int]:
+    """The odd primes up to n, by the sieve of Eratosthenes."""
+    sieve = bytearray([1]) * (n + 1)
+    for p in range(3, math.isqrt(n) + 1, 2):
+        if sieve[p]:
+            sieve[p * p::2 * p] = bytes(len(range(p * p, n + 1, 2 * p)))
+    return [p for p in range(3, n + 1, 2) if sieve[p]]
+
+
+# Primes up to 3 * 10**5 keep the three cases near 1.5 s together; up to
+# 10**6 the fractions read 0.70767, 0.66624 and 0.66616.
+DENSITY_LIMIT = 3 * 10**5
+
+
+@pytest.mark.parametrize("a,density", [(2, 17 / 24), (3, 2 / 3), (5, 2 / 3)])
+def test_density_of_primes_dividing_some_a_power_plus_one(a, density):
+    # The laws above leave p = 1 (mod 4) with (ab/p) = +1 open; a density
+    # anchors the rest.  Hasse (Math. Ann. 1966): the primes dividing some
+    # 2**k + 1 have density 17/24, those dividing some 3**k + 1 or 5**k + 1
+    # density 2/3.  The data are fixed, so a 4 sigma band cannot flake.
+    primes = [p for p in odd_primes(DENSITY_LIMIT) if a % p]
+    pair = Pair(a, 1)
+    good = sum(oracle.order_oracle_verdict(pair, p).good for p in primes)
+    n = len(primes)
+    assert abs(good - n * density) <= 4 * math.sqrt(n * density * (1 - density))
