@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import signal
 import subprocess
 import sys
@@ -266,6 +267,36 @@ class TestAudit:
         assert proc.returncode == 0
         assert expected and proc.stdout == expected
 
+    def test_negation_stdout_matches_json_dumps_past_three_digits(self):
+        # Up to 1009, x, k, y and the order run from 1 to 4 digits.  Every line
+        # of a modulus >= 1000 is checked, and a seeded sample of the rest.
+        rows = [
+            (d, xi, ki, yi, ti)
+            for d, x, k, y, t in audit.audit_negation_from_even_order(1009)
+            for xi, ki, yi, ti in zip(x.tolist(), k.tolist(), y.tolist(), t.tolist())
+        ]
+        proc = run_cli("audit", "--claim", "jitman-eq2", "--d-max", "1009")
+        assert proc.returncode == 0 and proc.stderr == ""
+        lines = proc.stdout.split("\n")
+        assert lines.pop() == "" and len(lines) == len(rows)
+        small = sum(d < 1000 for d, *_ in rows)
+        picked = sorted(random.Random(1009).sample(range(small), 3000))
+        picked += range(small, len(rows))
+        assert len(picked) > 3000
+        for i in picked:
+            d, xi, ki, yi, ti = rows[i]
+            record = {
+                "schema_version": 1, "kind": "finding", "claim": "jitman_eq2",
+                "a": xi, "b": 1, "modulus": d, "x": xi,
+                "literal_verdict": False, "oracle_verdict": True, "discrepancy": True,
+                "note": f"order {ti}; pow(x, {ki}, {d}) = {yi}",
+            }
+            assert lines[i] == dumps(record), i
+
+    def test_negation_claim_below_15_finds_nothing(self):
+        proc = run_cli("audit", "--claim", "jitman-eq2", "--d-max", "13")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+
     def test_whole_order_claim_includes_19_1_60(self):
         proc = run_cli("audit", "--claim", "thm2-literal", "--a-max", "19",
                        "--b-max", "1", "--ell-max", "60")
@@ -326,6 +357,24 @@ class TestAudit:
     def test_unknown_claim_is_usage_error(self):
         proc = run_cli("audit", "--claim", "eq3")
         assert proc.returncode == 1
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize("argv", [
+        ("audit", "--claim", "jitman-eq2", "--d-max", "2000"),
+        ("enumerate", "--a", "1", "--b", "2", "--max", "200000", "--jobs", "1"),
+    ])
+    def test_large_writer_exits_zero_quietly(self, argv):
+        # Each run writes far more than a pipe holds, so a write meets the
+        # closed end: the run stops at once, with exit 0 and nothing on stderr.
+        with subprocess.Popen([sys.executable, "-m", "goodint", *argv],
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              cwd=PKG_ROOT) as proc:
+            assert len(proc.stdout.read(100)) == 100
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=20) == 0
+        assert err == b""
 
 
 class TestNonPositiveJobs:

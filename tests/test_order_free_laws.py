@@ -31,8 +31,6 @@ import pytest
 from goodint import classify, oracle
 from goodint.core import Pair
 
-sympy = pytest.importorskip("sympy")
-
 PAIRS = [(1, 2), (2, 3), (3, 5), (-2, 9), (-7, 4), (6, 35), (19, 1), (11, 1)]
 LIMIT = 2**63
 
@@ -56,6 +54,7 @@ def jacobi(a: int, n: int) -> int:
 @pytest.fixture(scope="module")
 def primes():
     """Odd primes of 2 to 63 bits, three per size, from a seeded sympy.randprime."""
+    sympy = pytest.importorskip("sympy")
     rng = sympy.core.random.rng
     state = rng.getstate()
     rng.seed(20261018)
@@ -83,6 +82,7 @@ def verdicts(pair: Pair, ell: int) -> list:
 
 
 def test_jacobi_matches_sympy():
+    sympy = pytest.importorskip("sympy")
     for n in range(1, 400, 2):
         for a in range(-50, 50):
             assert jacobi(a, n) == sympy.jacobi_symbol(a, n), (a, n)
