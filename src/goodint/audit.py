@@ -67,10 +67,9 @@ def primitive_root(pp: int) -> int:
         raise ValueError(f"{pp} is not an odd prime power")
     p, e = f.odd_part[0]
     n = p ** (e - 1) * (p - 1)
-    qs = [q for q, _ in arith.factorize(n).prime_items()]
     g = 2
     while True:
-        if g % p and all(pow(g, n // q, pp) != 1 for q in qs):
+        if g % p and arith._prime_power_order(g, p, e) == n:
             return g
         g += 1
 

@@ -63,7 +63,7 @@ def _decide(pair: Pair, ell: int, method: str) -> Verdict:
     s = None
     if d > 1 and (two_ok or corollary):
         # s is shared only when every prime p | d gives the same valuation.
-        vals = {arith.nu2(arith.multiplicative_order(x, p)) for p, _ in f.odd_part}
+        vals = {arith.nu2(arith._prime_power_order(x % p, p, 1)) for p, _ in f.odd_part}
         s = vals.pop() if len(vals) == 1 else None
     oddly = two_ok and (d == 1 or s == 1)
     good = oddly or (two_ok and beta <= 1 and s is not None and s >= 1)

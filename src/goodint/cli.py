@@ -188,8 +188,8 @@ def _cmd_order(args) -> int:
         "x": x % m,
         "modulus": m,
         "order": order,
-        "components": [[pp, arith.multiplicative_order(x, pp)]
-                       for pp in arith.factorize(m).prime_powers()],
+        "components": [[p**e, arith._prime_power_order(x % p**e, p, e)]
+                       for p, e in arith.factorize(m).prime_items()],
     }
     sys.stdout.write(json.dumps(record, separators=(",", ":")) + "\n")
     return EXIT_OK

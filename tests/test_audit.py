@@ -185,6 +185,25 @@ class TestWholeOrderVariant:
     def test_per_prime_is_silent(self):
         assert audit.audit_odd_witness_variants(19, 5, 100)["per_prime"] == []
 
+    def test_wrong_decider_bit_is_a_per_prime_finding(self, monkeypatch):
+        # The decider's oddly_good bit flipped at one instance only.
+        real = classify.is_good
+
+        def flipped(pair, ell):
+            v = real(pair, ell)
+            if (pair.a, pair.b, ell) == (3, 5, 28):
+                return v._replace(oddly_good=not v.oddly_good)
+            return v
+
+        before = audit.audit_odd_witness_variants(5, 5, 60)
+        monkeypatch.setattr(classify, "is_good", flipped)
+        after = audit.audit_odd_witness_variants(5, 5, 60)
+        (f,) = after["per_prime"]
+        assert (f.claim_id, f.a, f.b, f.modulus, f.note) == (
+            audit.CLAIM_CUSTOM, 3, 5, 28, "variant=per_prime")
+        assert f.literal_verdict != f.oracle_verdict
+        assert before["per_prime"] == [] and after["literal"] == before["literal"]
+
     def test_every_literal_finding_verified_against_scan(self):
         for f in audit.audit_odd_witness_variants(15, 15, 200)["literal"]:
             pair = Pair(f.a, f.b)

@@ -1,10 +1,11 @@
+import json
 import math
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from goodint import arith, audit, classify, core, oracle
+from goodint import arith, audit, classify, cli, core, oracle
 from goodint.core import Pair
 
 odd_coprime_pairs = st.tuples(
@@ -323,3 +324,33 @@ class TestDoublingVerdicts:
             return
         d_good, two_d_good = self.verdicts(pair, d)
         assert d_good == two_d_good
+
+
+class TestPerPrimeOrdersFromTheFactorization:
+    # Primes near 2**31: above 2**20, so factoring one of them alone would
+    # run a Miller-Rabin test.
+    P, Q = 2147483647, 2147483659
+
+    @pytest.mark.parametrize("ell", [P * Q, P * P], ids=["semiprime", "prime_square"])
+    def test_deciders_never_factor_the_primes_of_ell(self, ell, cold_caches, monkeypatch):
+        real, seen = arith.factorize, []
+
+        def recording(n):
+            seen.append(n)
+            return real(n)
+
+        monkeypatch.setattr(arith, "factorize", recording)
+        pair = Pair(3, 5)
+        for decide in (classify.is_good, classify.is_good_via_sum_valuation):
+            decide(pair, ell)
+        assert ell in seen
+        assert self.P not in seen and self.Q not in seen
+
+    @pytest.mark.parametrize("m", [2**5 * 7**3 * 11 * 1000003, P * P, 2**63 - 25])
+    @pytest.mark.parametrize("x", [3, -5])
+    def test_order_components_are_the_prime_power_orders(self, m, x, capsys):
+        assert cli.main(["order", f"--x={x}", "--mod", str(m)]) == 0
+        rec = json.loads(capsys.readouterr().out)
+        assert rec["components"] == [[pp, arith.multiplicative_order(x, pp)]
+                                     for pp in arith.factorize(m).prime_powers()]
+        assert math.lcm(*[t for _, t in rec["components"]]) == rec["order"]

@@ -133,6 +133,23 @@ class TestEnumerate:
         recs = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
         assert [r["ell"] for r in recs] == [1, 2]
 
+    @pytest.mark.parametrize("flt, flag", [("oddly", "oddly_good"), ("bad", None)])
+    @pytest.mark.parametrize("ab", [(3, 5), (1, 2), (11, 1)], ids=lambda ab: "%d_%d" % ab)
+    def test_oddly_and_bad_filters(self, ab, flt, flag, capsys):
+        assert cli.main(["enumerate", "--a", str(ab[0]), "--b", str(ab[1]), "--max", "60",
+                         "--filter", flt, "--jobs", "1"]) == 0
+        recs = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        verdicts = [oracle.order_oracle_verdict(Pair(*ab), ell) for ell in range(1, 61)]
+        keep = [v.ell for v in verdicts if (getattr(v, flag) if flag else not v.good)]
+        assert [r["ell"] for r in recs] == keep and keep
+        assert all(r[flag] if flag else not r["good"] for r in recs)
+
+    @pytest.mark.parametrize("value", ["-1", "100000001"])
+    def test_max_out_of_range_refused(self, value, capsys):
+        assert cli.main(["enumerate", "--a", "1", "--b", "2", "--max", value]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "--max must be in" in err
+
     def test_empty_range(self):
         proc = run_cli("enumerate", "--a", "1", "--b", "2", "--max", "0")
         assert proc.returncode == 0 and proc.stdout == ""
@@ -375,6 +392,47 @@ class TestClosedStdout:
             err = proc.stderr.read()
             assert proc.wait(timeout=20) == 0
         assert err == b""
+
+
+# cli.main in a fresh interpreter with the benchmark's span tracer wrapping
+# every public function of the five layers, as perfbench/child.py does.
+# argv: src directory, perfbench directory, CLI argv as JSON.  stdout is
+# the CLI's; the last stderr line is the exit code and the traced calls.
+_TRACED_MAIN = """
+import json, sys
+sys.dont_write_bytecode = True
+sys.path[:0] = sys.argv[1:3]
+import goodint, goodint.cli
+from spans import Tracer
+tracer = Tracer()
+tracer.install([getattr(goodint, layer)
+                for layer in ("arith", "oracle", "classify", "audit", "cli")])
+rc = goodint.cli.main(json.loads(sys.argv[3]))
+sys.stdout.flush()
+sys.stderr.write(json.dumps({"rc": rc, "calls": tracer.summary()["calls"]}) + "\\n")
+"""
+
+
+class TestTracedRun:
+    @pytest.mark.parametrize("argv, traced", [
+        (["audit", "--claim", "crossval", "--a-max", "2", "--b-max", "3",
+          "--ell-max", "200", "--jobs", "1"], "classify.is_good"),
+        (["enumerate", "--a", "7", "--b", "3", "--max", "2000", "--jobs", "1"],
+         "oracle.order_oracle_verdict"),
+        (["audit", "--claim", "jitman-eq2", "--d-max", "101"],
+         "audit.audit_negation_from_even_order"),
+    ], ids=["crossval", "enumerate", "jitman-eq2"])
+    def test_tracer_changes_no_output(self, argv, traced, capsys):
+        proc = subprocess.run(
+            [sys.executable, "-c", _TRACED_MAIN, os.path.join(PKG_ROOT, "src"),
+             os.path.join(PKG_ROOT, "perfbench"), json.dumps(argv)],
+            capture_output=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        status = json.loads(proc.stderr.decode().splitlines()[-1])
+        assert status["calls"]["cli.main"] == 1 and status["calls"][traced] > 0
+        rc = cli.main(argv)
+        assert (proc.stdout, status["rc"]) == (capsys.readouterr().out.encode(), rc)
 
 
 class TestNonPositiveJobs:

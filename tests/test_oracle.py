@@ -30,6 +30,10 @@ class TestBruteForce:
         v = oracle.brute_force_verdict(Pair(1, 2), 7)
         assert not v.good and v.witness is None
 
+    def test_rejects_nonpositive_ell(self):
+        with pytest.raises(ValueError, match="ell must be positive"):
+            oracle.brute_force_verdict(Pair(1, 2), 0)
+
     def test_method_tag(self):
         assert oracle.brute_force_verdict(Pair(1, 2), 3).method == "brute_force"
 
