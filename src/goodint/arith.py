@@ -87,6 +87,9 @@ class Factorization(NamedTuple):
         return tuple(p**e for p, e in self.prime_items())
 
 
+_tuple_new = tuple.__new__
+
+
 def nu2(n: int) -> int:
     """Largest g with 2**g dividing n; n must be nonzero."""
     if n == 0:
@@ -185,30 +188,19 @@ def _split(m: int, out: dict[int, int], mult: int = 1) -> None:
     out[m] = out.get(m, 0) + mult
 
 
-@lru_cache(maxsize=1 << 16)
-def factorize(n: int) -> Factorization:
-    """Complete factorization of n, 1 <= n <= 2**63.
+# Large odd parts come back in two ways: the same modulus factored by the
+# order oracle and then by a decider (classify --method all, a library
+# caller checking one route against another), and p - 1 factored for every
+# residue whose order mod p or p**e is taken.
+_LARGE_CACHE_SIZE = 1 << 14
 
-    An odd part below 2**16 is read off the smallest-prime-factor table.
-    A larger one shares a gcd with the product of the odd primes below
-    2**10, and only the primes of that gcd are divided out.  A cofactor
-    below 2**20 is then 1 or prime; a larger one is a prime (deterministic
-    Miller-Rabin, bases by size), a perfect square (split once on its
-    integer root) or split by Pollard rho, so results are reproducible.
-    """
-    if n < 1:
-        raise ValueError(f"cannot factor non-positive {n}")
-    if n > FACTOR_INPUT_LIMIT:
-        raise ValueError(f"{n} exceeds the supported bound 2**63")
+
+@lru_cache(maxsize=_LARGE_CACHE_SIZE)
+def _factorize_large(n: int) -> Factorization:
+    """factorize for n whose odd part is at least 2**16."""
     beta = nu2(n)
     m = n >> beta
     fac: dict[int, int] = {}
-    if m < _SPF_LIMIT:
-        while m > 1:  # the smallest factor first, so fac stays ascending
-            p = _SPF[m] or m
-            m //= p
-            fac[p] = fac.get(p, 0) + 1
-        return Factorization(n, beta, tuple(fac.items()))
     g = math.gcd(m, _TRIAL_PRODUCT)
     for p in _TRIAL_PRIMES:
         if g == 1:
@@ -224,6 +216,42 @@ def factorize(n: int) -> Factorization:
     if m > 1:
         _split(m, fac)
     return Factorization(n, beta, tuple(sorted(fac.items())))
+
+
+def factorize(n: int) -> Factorization:
+    """Complete factorization of n, 1 <= n <= 2**63.
+
+    An odd part below 2**16 is read off the smallest-prime-factor table.
+    A larger one shares a gcd with the product of the odd primes below
+    2**10, and only the primes of that gcd are divided out.  A cofactor
+    below 2**20 is then 1 or prime; a larger one is a prime (deterministic
+    Miller-Rabin, bases by size), a perfect square (split once on its
+    integer root) or split by Pollard rho, so results are reproducible.
+
+    Only the larger odd parts are cached (_factorize_large).  A table read
+    takes well under a microsecond, less than a cache entry's hundreds of
+    bytes are worth, and a range of moduli, as enumerate walks, would fill
+    a cache with keys that never come back.
+    """
+    if n < 1:
+        raise ValueError(f"cannot factor non-positive {n}")
+    if n > FACTOR_INPUT_LIMIT:
+        raise ValueError(f"{n} exceeds the supported bound 2**63")
+    beta = nu2(n)
+    m = n >> beta
+    if m >= _SPF_LIMIT:
+        return _factorize_large(n)
+    odd = []
+    while m > 1:  # the smallest prime first, so odd stays ascending
+        p = _SPF[m] or m
+        m //= p
+        e = 1
+        while m % p == 0:
+            m //= p
+            e += 1
+        odd.append((p, e))
+    # tuple.__new__ skips the Python-level __new__ NamedTuple generates.
+    return _tuple_new(Factorization, (n, beta, tuple(odd)))
 
 
 @lru_cache(maxsize=1 << 16)
@@ -253,9 +281,7 @@ def _prime_power_order(x: int, p: int, e: int) -> int:
 def multiplicative_order(x: int, m: int) -> int:
     """Smallest t >= 1 with x**t = 1 (mod m).  Requires gcd(x, m) = 1.
 
-    The lcm of the orders of x mod each maximal prime power p**e of m.
-    Those are cached per (x mod p**e, p, e), so a fixed x over a range of
-    moduli computes the order mod each prime power once.
+    Checks m and the gcd, then takes _order over factorize(m).
     """
     if m < 1:
         raise ValueError(f"modulus must be positive, got {m}")
@@ -263,8 +289,17 @@ def multiplicative_order(x: int, m: int) -> int:
     g = math.gcd(x, m)
     if g != 1:
         raise ValueError(f"order undefined: gcd({x}, {m}) = {g}")
-    return math.lcm(*[_prime_power_order(x % p**e, p, e)
-                      for p, e in factorize(m).prime_items()])
+    return _order(x, factorize(m))
+
+
+def _order(x: int, f: Factorization) -> int:
+    """Order of x mod f.n, for x coprime to f.n.
+
+    The lcm of the orders of x mod each maximal prime power p**e of f.n.
+    Those are cached per (x mod p**e, p, e), so a fixed x over a range of
+    moduli computes the order mod each prime power once.
+    """
+    return math.lcm(*[_prime_power_order(x % p**e, p, e) for p, e in f.prime_items()])
 
 
 def smallest_negation_exponent(x: int, m: int) -> int | None:

@@ -97,7 +97,8 @@ def brute_force_sweep(pair: Pair, ell_max: int) -> list[Verdict]:
     difference once.  The moduli ascend, so a block works on the suffix still
     live at k0, from index (k0 - 1) // 2: each modulus is scanned to the end
     of the block that passes its own bound 2*ell, without early stops.  The
-    smallest odd and even hit of each modulus is kept.
+    smallest odd and even hit of each modulus is kept: a block writes only
+    the parities it hits that no earlier block hit, each at its first hit row.
 
     Hits past 2*ell change neither: if gcd(ab, ell) > 1, a prime of ell
     divides exactly one of a, b and no k is a hit; otherwise (a**k, b**k)
@@ -129,10 +130,7 @@ def brute_force_sweep(pair: Pair, ell_max: int) -> list[Verdict]:
         np.remainder(pows[:, :s] * pows[:, s - 1:s], mods, out=pows[:, s:2 * s])
         s *= 2
     a_pow, b_pow = pows
-    # Row pairs (k odd, k even) of a block, as offsets from k0.
-    offsets = np.arange(B, dtype=np.int32).reshape(half, 2, 1)
-    unset = np.int32(1 << 30)
-    first = np.full((2, ell_max), unset, dtype=np.int32)  # smallest odd, even hit
+    first = np.zeros((2, ell_max), dtype=np.int32)  # smallest odd, even hit; 0 for none
     pa = 1 % mods          # a**(k0 - 1) mod ell
     pn = mods - 1          # -b**(k0 - 1) mod ell
     for k0 in range(1, 2 * ell_max + 1, B):
@@ -145,8 +143,8 @@ def brute_force_sweep(pair: Pair, ell_max: int) -> list[Verdict]:
         pn = nbk[-1, half:] % m[half:]
         ak -= nbk
         # C remainder: its sign differs from %, but only zero matters.
-        hit = np.fmod(ak, m, out=ak) == 0
-        k = np.where(hit.reshape(half, 2, -1), offsets + k0, unset).min(axis=0)
-        np.minimum(first[:, lo:], k, out=first[:, lo:])
-    first[first == unset] = 0
+        # Row pairs (k odd, k even): hit[j, i] holds k = k0 + 2j + i.
+        hit = (np.fmod(ak, m, out=ak) == 0).reshape(half, 2, -1)
+        par, col = np.nonzero(hit.any(axis=0) & (first[:, lo:] == 0))
+        first[par, col + lo] = k0 + par + 2 * hit[:, par, col].argmax(axis=0)
     return list(map(_verdict, range(1, ell_max + 1), *first.tolist()))

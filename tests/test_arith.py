@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from goodint import arith, classify, oracle
+from goodint import arith, classify, cli, oracle
 from goodint.core import Pair
 from conftest import (EDGE_MODULI, EDGE_RESIDUES, factor_by_trial, negation_by_scan,
                       order_by_scan)
@@ -15,6 +15,7 @@ from conftest import (EDGE_MODULI, EDGE_RESIDUES, factor_by_trial, negation_by_s
 class TestFactorize:
     def test_small(self):
         f = arith.factorize(60)
+        assert type(f) is arith.Factorization
         assert (f.beta, f.odd_part) == (2, ((3, 1), (5, 1)))
         assert f.odd_value == 15
         assert f.prime_powers() == (4, 3, 5)
@@ -110,6 +111,33 @@ class TestFactorize:
             total *= p**e
         assert total == n
         assert (f.beta == 0) == (n % 2 == 1)
+
+
+class TestFactorizeCache:
+    """Only odd parts past the table are cached: those are the ones asked for
+    again, while a range of moduli would fill a cache with one-off keys."""
+
+    def test_enumerate_keeps_no_factorization(self, cold_caches, capsys):
+        argv = ["enumerate", "--a", "3", "--b", "5", "--max", "10000", "--jobs", "1"]
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out.count("\n") == 10000
+        assert arith._factorize_large.cache_info().currsize == 0
+
+    def test_large_tier_is_factored_once(self, cold_caches, monkeypatch):
+        # The 62-bit semiprime of the README table, decided by the oracle and
+        # then by the decider: the second factorization comes from the cache.
+        # Rho also splits 6197 * 17327, the odd part of p - 1 past 2**10 for
+        # the smaller prime p, once.
+        real, calls = arith._pollard_rho, []
+
+        def counted(n):
+            calls.append(n)
+            return real(n)
+
+        monkeypatch.setattr(arith, "_pollard_rho", counted)
+        pair, ell = Pair(3, 5), 2305876871893730141
+        assert oracle.order_oracle_verdict(pair, ell).good == classify.is_good(pair, ell).good
+        assert sorted(calls) == [6197 * 17327, ell]
 
 
 class TestIsPrime:

@@ -1,7 +1,9 @@
-"""Every name a goodint module imports is used in that module."""
+"""Every name a goodint module imports is used in that module, and every
+cache a goodint module holds is bounded."""
 
 import ast
 import glob
+import importlib
 import os
 
 import pytest
@@ -45,3 +47,24 @@ def test_checker_finds_an_unused_import():
 def test_no_unused_import(path):
     with open(path, encoding="utf-8") as fh:
         assert unused_imports(fh.read()) == [], path
+
+
+def lru_caches() -> dict[str, object]:
+    """Every functools.lru_cache bound at the top level of a goodint module."""
+    found = {}
+    for path in MODULES:
+        name = os.path.basename(path)[:-3]
+        if name == "__main__":  # importing it runs the CLI
+            continue
+        mod = importlib.import_module(f"goodint.{name}" if name != "__init__" else "goodint")
+        for attr, obj in vars(mod).items():
+            if hasattr(obj, "cache_parameters"):
+                found[f"{mod.__name__}.{attr}"] = obj
+    return found
+
+
+def test_every_cache_is_bounded():
+    caches = lru_caches()
+    assert "goodint.arith._prime_power_order" in caches
+    unbounded = [name for name, obj in caches.items() if obj.cache_parameters()["maxsize"] is None]
+    assert unbounded == []
