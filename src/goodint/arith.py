@@ -297,9 +297,13 @@ def _order(x: int, f: Factorization) -> int:
 
     The lcm of the orders of x mod each maximal prime power p**e of f.n.
     Those are cached per (x mod p**e, p, e), so a fixed x over a range of
-    moduli computes the order mod each prime power once.
+    moduli computes the order mod each prime power once.  The lcm is kept
+    running, the 2-part first.
     """
-    return math.lcm(*[_prime_power_order(x % p**e, p, e) for p, e in f.prime_items()])
+    t = _prime_power_order(x % (1 << f.beta), 2, f.beta) if f.beta else 1
+    for p, e in f.odd_part:
+        t = math.lcm(t, _prime_power_order(x % p**e, p, e))
+    return t
 
 
 def smallest_negation_exponent(x: int, m: int) -> int | None:

@@ -16,6 +16,8 @@ import json
 import os
 import sys
 from contextlib import closing
+from itertools import filterfalse, repeat
+from operator import attrgetter
 
 from . import arith, audit, classify, oracle
 from .core import Pair, Verdict, parallel_map
@@ -45,27 +47,42 @@ class _Parser(argparse.ArgumentParser):
 _JSON_BOOL = {True: "true", False: "false"}
 
 
-def _verdict_line(a: int, b: int, v: Verdict, agreement: bool | None = None) -> str:
-    """One verdict record as compact JSON, keys in schema order.
+# The '"good":...,"witness":' stretch of a verdict line for each flag triple,
+# indexed [good][oddly_good][evenly_good].
+_FLAG_TEXT = tuple(
+    tuple(
+        tuple(f'"good":{_JSON_BOOL[g]},"oddly_good":{_JSON_BOOL[o]},'
+              f'"evenly_good":{_JSON_BOOL[e]},"witness":' for e in (False, True))
+        for o in (False, True))
+    for g in (False, True))
+
+
+def _verdict_lines(a: int, b: int, verdicts, agreement: bool | None = None) -> list[str]:
+    """Each verdict record as compact JSON, keys in schema order, with its "\n".
 
     Equal to json.dumps of the record with separators (",", ":"); method
-    names are plain identifiers, so they need no escaping.
+    names are plain identifiers, so they need no escaping.  A line is the
+    pair's fixed text, the flag triple's entry of _FLAG_TEXT and the
+    verdict's own fields; s_val2, order_claim_ok and agreement are added
+    only when set.  verdicts may be any iterable and is read once.
     """
-    line = (
-        f'{{"schema_version":{SCHEMA_VERSION},"kind":"verdict","ell":{v.ell},'
-        f'"a":{a},"b":{b},"good":{_JSON_BOOL[v.good]},'
-        f'"oddly_good":{_JSON_BOOL[v.oddly_good]},'
-        f'"evenly_good":{_JSON_BOOL[v.evenly_good]},'
-        f'"witness":{"null" if v.witness is None else v.witness},'
-        f'"method":"{v.method}"'
-    )
-    if v.s_val2 is not None:
-        line += f',"s_val2":{v.s_val2}'
-    if v.order_claim_ok is not None:
-        line += f',"order_claim_ok":{_JSON_BOOL[v.order_claim_ok]}'
-    if agreement is not None:
-        line += f',"agreement":{_JSON_BOOL[agreement]}'
-    return line + "}"
+    ab = f',"a":{a},"b":{b},'
+    end = "}\n" if agreement is None else f',"agreement":{_JSON_BOOL[agreement]}}}\n'
+    return [
+        f'{{"schema_version":{SCHEMA_VERSION},"kind":"verdict","ell":{ell}{ab}'
+        f'{_FLAG_TEXT[good][oddly][evenly]}{"null" if witness is None else witness},'
+        f'"method":"{method}"'
+        f'{end if s_val2 is None and claim_ok is None else _diagnostics(s_val2, claim_ok) + end}'
+        for ell, good, oddly, evenly, witness, method, s_val2, claim_ok in verdicts
+    ]
+
+
+def _diagnostics(s_val2: int | None, order_claim_ok: bool | None) -> str:
+    """The optional s_val2 and order_claim_ok keys of a verdict line."""
+    text = "" if s_val2 is None else f',"s_val2":{s_val2}'
+    if order_claim_ok is not None:
+        text += f',"order_claim_ok":{_JSON_BOOL[order_claim_ok]}'
+    return text
 
 
 def _finding_line(claim: str, a: int, b: int, modulus: int, x: int,
@@ -119,16 +136,16 @@ def _cmd_classify(args) -> int:
         raise ValueError(f"brute force runs only for ell <= {BRUTE_FORCE_LIMIT}, "
                          f"got {args.ell}")
     if args.method != "all":
-        v = _one_verdict(pair, args.ell, args.method)
-        sys.stdout.write(_verdict_line(args.a, args.b, v) + "\n")
-        return EXIT_OK
-    methods = [m for m in _METHODS
-               if (m != "corollary" or pair.ab_odd) and (m != "brute" or brute_ok)]
-    verdicts = [_one_verdict(pair, args.ell, m) for m in methods]
-    keyed = {(v.good, v.oddly_good, v.evenly_good, v.witness) for v in verdicts}
-    agreement = len(keyed) == 1
-    for v in verdicts:
-        sys.stdout.write(_verdict_line(args.a, args.b, v, agreement) + "\n")
+        verdicts = [_one_verdict(pair, args.ell, args.method)]
+        agreement = None
+    else:
+        methods = [m for m in _METHODS
+                   if (m != "corollary" or pair.ab_odd) and (m != "brute" or brute_ok)]
+        verdicts = [_one_verdict(pair, args.ell, m) for m in methods]
+        keyed = {(v.good, v.oddly_good, v.evenly_good, v.witness) for v in verdicts}
+        agreement = len(keyed) == 1
+    for line in _verdict_lines(args.a, args.b, verdicts, agreement):
+        sys.stdout.write(line)
     return EXIT_OK
 
 
@@ -136,27 +153,20 @@ def _cmd_classify(args) -> int:
 # enumerate
 # ---------------------------------------------------------------------------
 
-def _keep(v: Verdict, flt: str) -> bool:
+def _kept(verdicts, flt: str):
+    """The verdicts that --filter flt keeps, lazily; "bad" keeps those not good."""
     if flt == "all":
-        return True
-    if flt == "good":
-        return v.good
-    if flt == "oddly":
-        return v.oddly_good
-    if flt == "evenly":
-        return v.evenly_good
-    return not v.good  # bad
+        return verdicts
+    if flt == "bad":
+        return filterfalse(attrgetter("good"), verdicts)
+    flag = {"good": "good", "oddly": "oddly_good", "evenly": "evenly_good"}[flt]
+    return filter(attrgetter(flag), verdicts)
 
 
 def _enumerate_chunk(task) -> list[str]:
     a, b, lo, hi, flt = task
-    pair = Pair(a, b)
-    lines = []
-    for ell in range(lo, hi):
-        v = oracle.order_oracle_verdict(pair, ell)
-        if _keep(v, flt):
-            lines.append(_verdict_line(a, b, v))
-    return lines
+    verdicts = map(oracle.order_oracle_verdict, repeat(Pair(a, b)), range(lo, hi))
+    return _verdict_lines(a, b, _kept(verdicts, flt))
 
 
 def _cmd_enumerate(args) -> int:
@@ -171,7 +181,7 @@ def _cmd_enumerate(args) -> int:
     with closing(parallel_map(_enumerate_chunk, tasks, args.jobs)) as chunks:
         for chunk in chunks:
             for line in chunk:
-                sys.stdout.write(line + "\n")
+                sys.stdout.write(line)
     return EXIT_OK
 
 

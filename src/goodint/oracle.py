@@ -15,6 +15,10 @@ import numpy as np
 from . import arith
 from .core import Pair, Verdict
 
+# tuple.__new__ skips the Python-level __new__ NamedTuple generates, so every
+# Verdict built with it passes all eight fields.
+_new = tuple.__new__
+
 
 def order_oracle_verdict(pair: Pair, ell: int) -> Verdict:
     """Exact verdict from the order of x = a*b**-1 mod ell.
@@ -27,13 +31,14 @@ def order_oracle_verdict(pair: Pair, ell: int) -> Verdict:
         raise ValueError(f"ell must be positive, got {ell}")
     if math.gcd(pair.a * pair.b, ell) != 1:
         # A shared prime would have to divide both a and b.
-        return Verdict(ell, False, False, False, None, "oracle")
+        return _new(Verdict, (ell, False, False, False, None, "oracle", None, None))
     if ell <= 2:
-        return Verdict(ell, True, True, True, 1, "oracle")
+        return _new(Verdict, (ell, True, True, True, 1, "oracle", None, None))
     k = arith.smallest_negation_exponent(pair.residue(ell), ell)
     if k is None:
-        return Verdict(ell, False, False, False, None, "oracle")
-    return Verdict(ell, True, k % 2 == 1, k % 2 == 0, k, "oracle")
+        return _new(Verdict, (ell, False, False, False, None, "oracle", None, None))
+    odd = k % 2 == 1
+    return _new(Verdict, (ell, True, odd, not odd, k, "oracle", None, None))
 
 
 def brute_force_verdict(pair: Pair, ell: int) -> Verdict:

@@ -1,4 +1,7 @@
+import contextlib
+import io
 import json
+import math
 import os
 import random
 import signal
@@ -7,7 +10,7 @@ import sys
 import time
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from goodint import audit, classify, cli, oracle
@@ -204,6 +207,48 @@ class TestEnumerate:
         assert proc.returncode == 130
         assert b"Traceback" not in err
         assert err.strip().endswith(b"goodint: interrupted")
+
+
+def enumerate_expected(a, b, max_ell, flt):
+    """enumerate's stdout rebuilt from order_oracle_verdict and json.dumps."""
+    keep = {"all": lambda r: True, "good": lambda r: r["good"],
+            "oddly": lambda r: r["oddly_good"], "evenly": lambda r: r["evenly_good"],
+            "bad": lambda r: not r["good"]}[flt]
+    pair = Pair(a, b)
+    recs = (verdict_record(a, b, oracle.order_oracle_verdict(pair, ell))
+            for ell in range(1, max_ell + 1))
+    return "".join(dumps(r) + "\n" for r in recs if keep(r))
+
+
+operands = (st.integers(-50, 50) | st.integers(-2**70, 2**70)).filter(bool)
+filters = st.sampled_from(("all", "good", "oddly", "evenly", "bad"))
+
+
+class TestEnumerateProperty:
+    @seed(20181)
+    @settings(max_examples=60, deadline=None)
+    @given(st.tuples(operands, operands).filter(lambda ab: math.gcd(*ab) == 1),
+           st.integers(0, 1500), filters)
+    def test_matches_oracle_records(self, ab, max_ell, flt):
+        a, b = ab
+        argv = ["enumerate", "--a", str(a), "--b", str(b), "--max", str(max_ell),
+                "--filter", flt, "--jobs", "1"]
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert cli.main(argv) == 0
+        assert out.getvalue() == enumerate_expected(a, b, max_ell, flt)
+
+    @pytest.mark.parametrize("a,b,max_ell,flt", [
+        (3, 5, 2500, "all"),
+        (-2**65 - 1, 7, 3000, "oddly"),
+        (1, -1, 2049, "bad"),
+    ])
+    def test_two_jobs_same_bytes(self, a, b, max_ell, flt, capsys):
+        outs = []
+        for jobs in ("1", "2"):
+            assert cli.main(["enumerate", "--a", str(a), "--b", str(b), "--max", str(max_ell),
+                             "--filter", flt, "--jobs", jobs]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1] == enumerate_expected(a, b, max_ell, flt)
 
 
 class TestOrder:
@@ -435,6 +480,46 @@ class TestTracedRun:
         assert (proc.stdout, status["rc"]) == (capsys.readouterr().out.encode(), rc)
 
 
+class WriteOnlyStream:
+    """A text stream with write() and flush() and nothing else, as the
+    benchmark's counting sink: any other stream method the CLI called would
+    raise AttributeError."""
+
+    __slots__ = ("parts",)
+
+    def __init__(self):
+        self.parts = []
+
+    def write(self, s):
+        self.parts.append(s)
+        return len(s)
+
+    def flush(self):
+        pass
+
+
+class TestWriteOnlyStdout:
+    @pytest.mark.parametrize("argv", [
+        *(["enumerate", "--a", "-7", "--b", "4", "--max", "1500", "--filter", flt,
+           "--jobs", "1"] for flt in ("all", "good", "oddly", "evenly", "bad")),
+        ["classify", "--a", "3", "--b", "5", "--ell", "60", "--method", "all"],
+        ["classify", "--a", "1", "--b", "2", "--ell", "5", "--method", "all"],
+        ["audit", "--claim", "jitman-eq1", "--beta", "6"],
+        ["audit", "--claim", "jitman-eq2", "--d-max", "101"],
+        ["audit", "--claim", "crossval", "--a-max", "3", "--b-max", "4",
+         "--ell-max", "60", "--jobs", "1"],
+        ["audit", "--claim", "thm2-literal", "--a-max", "19", "--b-max", "1",
+         "--ell-max", "60", "--jobs", "1"],
+    ], ids=["enumerate-all", "enumerate-good", "enumerate-oddly", "enumerate-evenly",
+            "enumerate-bad", "classify-odd", "classify-even", "jitman-eq1", "jitman-eq2",
+            "crossval", "thm2-literal"])
+    def test_same_bytes_as_real_stdout(self, argv, capsys):
+        stream = WriteOnlyStream()
+        with contextlib.redirect_stdout(stream):
+            code = cli.main(argv)
+        assert (code, "".join(stream.parts)) == (cli.main(argv), capsys.readouterr().out)
+
+
 class TestNonPositiveJobs:
     # --jobs 0 and negative counts run serially, like --jobs 1.
     @pytest.mark.parametrize("argv", [
@@ -491,13 +576,33 @@ verdicts = st.builds(
 )
 
 
+def rendered(a, b, vs, agreement=None):
+    return [dumps(verdict_record(a, b, v, agreement)) + "\n" for v in vs]
+
+
 class TestVerdictLine:
     @given(st.integers(-2**63, 2**63), st.integers(-2**63, 2**63), verdicts,
            st.none() | st.booleans())
     @example(1, -1, Verdict(3, True, True, False, 1, "oracle"), None)
     @example(-7, 4, Verdict(9, False, False, False, None, "corollary", 0, True), False)
     def test_matches_json_dumps(self, a, b, v, agreement):
-        assert cli._verdict_line(a, b, v, agreement) == dumps(verdict_record(a, b, v, agreement))
+        assert cli._verdict_lines(a, b, [v], agreement) == rendered(a, b, [v], agreement)
+
+    @given(st.integers(-2**63, 2**63), st.integers(-2**63, 2**63),
+           st.lists(verdicts, max_size=8), st.none() | st.booleans())
+    @example(3, 5, [Verdict(60, True, False, True, 2, "theorem"),
+                    Verdict(60, True, False, True, 2, "corollary", 2, True),
+                    Verdict(60, True, False, True, 2, "oracle"),
+                    Verdict(60, False, False, False, None, "corollary", None, False),
+                    Verdict(60, True, True, True, 1, "brute_force", 0, None)], True)
+    def test_several_verdicts_one_agreement(self, a, b, vs, agreement):
+        # A generator too: the renderer reads its input once, in order.
+        assert cli._verdict_lines(a, b, iter(vs), agreement) == rendered(a, b, vs, agreement)
+
+    @pytest.mark.parametrize("agreement", [None, True, False])
+    def test_empty_input_gives_no_lines(self, agreement):
+        assert cli._verdict_lines(3, 5, [], agreement) == []
+        assert cli._verdict_lines(3, 5, iter(()), agreement) == []
 
     @pytest.mark.parametrize("a,b", [(1, -1), (-7, 4), (3, 5), (-3, -5)])
     def test_real_verdicts(self, a, b):
@@ -506,10 +611,8 @@ class TestVerdictLine:
             vs = [oracle.order_oracle_verdict(pair, ell), classify.is_good(pair, ell)]
             if pair.ab_odd:
                 vs.append(classify.is_good_via_sum_valuation(pair, ell))
-            for v in vs:
-                for agreement in (None, True):
-                    line = cli._verdict_line(a, b, v, agreement)
-                    assert line == dumps(verdict_record(a, b, v, agreement))
+            for agreement in (None, True):
+                assert cli._verdict_lines(a, b, vs, agreement) == rendered(a, b, vs, agreement)
 
 
 def finding_record(f):

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from goodint import arith, oracle
-from goodint.core import Pair
+from goodint.core import Pair, Verdict
 from conftest import witness_by_scan
 
 coprime_pairs = st.tuples(
@@ -232,3 +232,15 @@ class TestSweep:
         monkeypatch.setattr(oracle, "np", NoNumpy())
         with pytest.raises(ValueError):
             oracle.brute_force_sweep(Pair(1, 2), ell_max)
+
+
+class TestOracleVerdictRecord:
+    # order_oracle_verdict builds its Verdicts with tuple.__new__, which
+    # checks neither the field count nor the defaults of the optional fields.
+    @pytest.mark.parametrize("a,b", [(3, 5), (1, -1), (-7, 4), (2**70 + 1, 3)])
+    def test_tuple_built_verdicts_are_whole(self, a, b):
+        pair = Pair(a, b)
+        for ell in range(1, 301):
+            v = oracle.order_oracle_verdict(pair, ell)
+            assert type(v) is Verdict and len(v) == 8
+            assert v == Verdict(*v[:6]) and v.method == "oracle"
