@@ -297,13 +297,15 @@ def _odd_witness_pairs(a_max: int, b_max: int) -> list[tuple[int, int]]:
     ]
 
 
-def _literal_oddly_good(pair: Pair, f: arith.Factorization) -> bool:
-    """Theorem 2's printed oddly-good condition at ell = f.n, beta >= 2 and d > 1.
+def _literal_oddly_good(pair: Pair, ell: int) -> bool:
+    """Theorem 2's printed oddly-good condition at ell = 2**beta * d, beta >= 2 and d > 1.
 
-    The printed reading asks for x = -1 (mod 2**beta) and 2 || Ord_d(x) for
-    the whole odd part d instead of per prime.  Requires gcd(ab, ell) = 1.
+    As printed, beta = nu2(ell) and d = ell >> beta are read off ell, and the
+    condition asks for x = -1 (mod 2**beta) and 2 || Ord_d(x) for the whole
+    odd part d instead of per prime.  Requires gcd(ab, ell) = 1.
     """
-    m, d = 1 << f.beta, f.odd_value
+    beta = arith.nu2(ell)
+    m, d = 1 << beta, ell >> beta
     return (pair.residue(m) == m - 1
             and arith.nu2(arith.multiplicative_order(pair.residue(d), d)) == 1)
 
@@ -319,7 +321,7 @@ def _odd_witness_check(pair: Pair, sweep: list) -> list[AuditFinding]:
         truth = sweep[ell - 1].oddly_good
         # One decision per ell: the literal reading differs only in this bit.
         per = classify.is_good(pair, ell).oddly_good
-        lit = _literal_oddly_good(pair, arith.factorize(ell))
+        lit = _literal_oddly_good(pair, ell)
         if lit != truth:
             out.append(_finding(CLAIM_WHOLE_ORDER_VARIANT, a, b, ell,
                                 pair.residue(ell), lit, truth, note="variant=literal"))
@@ -361,16 +363,16 @@ def _crossval_pairs(a_max: int, b_max: int) -> list[tuple[int, int]]:
 def _crossval_check(pair: Pair, sweep: list) -> list[AuditFinding]:
     """Every decider's disagreement with brute force for one pair, in ell order."""
     a, b = pair.a, pair.b
+    routes = [("order_oracle", oracle.order_oracle_verdict),
+              ("case_analysis", classify.is_good)]
+    if pair.ab_odd:
+        routes.append(("sum_valuation", classify.is_good_via_sum_valuation))
     out = []
     for ell, truth in enumerate(sweep, 1):
-        candidates = {
-            "order_oracle": oracle.order_oracle_verdict(pair, ell),
-            "case_analysis": classify.is_good(pair, ell),
-        }
-        if pair.ab_odd:
-            candidates["sum_valuation"] = classify.is_good_via_sum_valuation(pair, ell)
-        for name, v in candidates.items():
-            if v.flags() != truth.flags() or v.witness != truth.witness:
+        answer = (truth.flags(), truth.witness)
+        for name, route in routes:
+            v = route(pair, ell)
+            if (v.flags(), v.witness) != answer:
                 x = pair.residue(ell) if math.gcd(a * b, ell) == 1 else 0
                 out.append(_finding(CLAIM_CUSTOM, a, b, ell, x,
                                     v.good, truth.good,

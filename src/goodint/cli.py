@@ -106,12 +106,6 @@ def _finding_line(claim: str, a: int, b: int, modulus: int, x: int,
     )
 
 
-def _write_findings(findings) -> None:
-    for f in findings:
-        sys.stdout.write(_finding_line(f.claim_id, f.a, f.b, f.modulus, f.x,
-                                       f.literal_verdict, f.oracle_verdict, f.note) + "\n")
-
-
 # ---------------------------------------------------------------------------
 # classify
 # ---------------------------------------------------------------------------
@@ -135,15 +129,15 @@ def _cmd_classify(args) -> int:
     if args.method == "brute" and not brute_ok:
         raise ValueError(f"brute force runs only for ell <= {BRUTE_FORCE_LIMIT}, "
                          f"got {args.ell}")
-    if args.method != "all":
-        verdicts = [_one_verdict(pair, args.ell, args.method)]
-        agreement = None
-    else:
+    methods = [args.method]
+    if args.method == "all":
         methods = [m for m in _METHODS
                    if (m != "corollary" or pair.ab_odd) and (m != "brute" or brute_ok)]
-        verdicts = [_one_verdict(pair, args.ell, m) for m in methods]
-        keyed = {(v.good, v.oddly_good, v.evenly_good, v.witness) for v in verdicts}
-        agreement = len(keyed) == 1
+    verdicts = [_one_verdict(pair, args.ell, m) for m in methods]
+    agreement = None
+    if args.method == "all":
+        # The answer crossval compares: flags and witness, not the method tag.
+        agreement = len({(v.flags(), v.witness) for v in verdicts}) == 1
     for line in _verdict_lines(args.a, args.b, verdicts, agreement):
         sys.stdout.write(line)
     return EXIT_OK
@@ -238,18 +232,19 @@ def _write_negation_findings(d_max: int) -> None:
 
 
 def _cmd_audit(args) -> int:
-    if args.claim == "jitman-eq1":
-        _write_findings(audit.audit_order2_congruence(args.beta))
-        return EXIT_OK
     if args.claim == "jitman-eq2":
         _write_negation_findings(args.d_max)
         return EXIT_OK
     bounds = (args.a_max, args.b_max, args.ell_max, args.jobs)
-    if args.claim == "thm2-literal":
+    if args.claim == "jitman-eq1":
+        findings = audit.audit_order2_congruence(args.beta)
+    elif args.claim == "thm2-literal":
         findings = audit.audit_odd_witness_variants(*bounds)["literal"]
     else:
         findings = audit.crossval_sweep(*bounds)
-    _write_findings(sorted(findings, key=lambda f: (f.modulus, f.a, f.b)))
+    for f in sorted(findings, key=lambda f: (f.modulus, f.a, f.b)):
+        sys.stdout.write(_finding_line(f.claim_id, f.a, f.b, f.modulus, f.x,
+                                       f.literal_verdict, f.oracle_verdict, f.note) + "\n")
     return EXIT_DISCREPANCY if findings and args.claim == "crossval" else EXIT_OK
 
 

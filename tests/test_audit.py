@@ -208,7 +208,7 @@ class TestWholeOrderVariant:
         for f in audit.audit_odd_witness_variants(15, 15, 200)["literal"]:
             pair = Pair(f.a, f.b)
             bv = oracle.brute_force_verdict(pair, f.modulus)
-            lit = audit._literal_oddly_good(pair, arith.factorize(f.modulus))
+            lit = audit._literal_oddly_good(pair, f.modulus)
             assert lit != bv.oddly_good
 
     def test_one_decision_per_instance(self, monkeypatch):
@@ -223,7 +223,7 @@ class TestWholeOrderVariant:
             pair = Pair(a, b)
             truth = oracle.brute_force_verdict(pair, ell).oddly_good
             per = classify.is_good(pair, ell).oddly_good
-            lit = audit._literal_oddly_good(pair, arith.factorize(ell))
+            lit = audit._literal_oddly_good(pair, ell)
             for variant, bit in (("literal", lit), ("per_prime", per)):
                 if bit != truth:
                     expected[variant].append((a, b, ell))
@@ -417,3 +417,42 @@ class TestCrossval:
         finally:
             cl.is_good = real
         assert any(f.modulus == 7 for f in findings)
+
+    def test_each_route_asked_once_per_instance(self, monkeypatch):
+        calls = {}
+        for module, name in ((oracle, "order_oracle_verdict"), (classify, "is_good"),
+                             (classify, "is_good_via_sum_valuation")):
+            def counted(pair, ell, real=getattr(module, name), seen=calls.setdefault(name, [])):
+                seen.append((pair.a, pair.b, ell))
+                return real(pair, ell)
+
+            monkeypatch.setattr(module, name, counted)
+        assert audit.crossval_sweep(5, 6, 60) == []
+        instances = [(a, b, ell) for a in range(1, 6) for b in range(a + 1, 7)
+                     if math.gcd(a, b) == 1 for ell in range(1, 61)]
+        assert calls["order_oracle_verdict"] == calls["is_good"] == instances
+        assert calls["is_good_via_sum_valuation"] == [
+            (a, b, ell) for a, b, ell in instances if a * b % 2]
+
+    @pytest.mark.parametrize("module, name, route, ab", [
+        (oracle, "order_oracle_verdict", "order_oracle", (3, 5)),
+        (classify, "is_good", "case_analysis", (2, 5)),
+        (classify, "is_good_via_sum_valuation", "sum_valuation", (3, 5)),
+    ], ids=["order_oracle", "case_analysis", "sum_valuation"])
+    @pytest.mark.parametrize("wrong", [
+        lambda v: v._replace(oddly_good=not v.oddly_good),
+        lambda v: v._replace(witness=(v.witness or 0) + 2),
+    ], ids=["oddly_good", "witness"])
+    def test_wrong_route_answer_is_one_finding(self, module, name, route, ab, wrong,
+                                               monkeypatch):
+        # One route's answer made wrong at one instance only.
+        real = getattr(module, name)
+
+        def flipped(pair, ell):
+            v = real(pair, ell)
+            return wrong(v) if (pair.a, pair.b, ell) == (*ab, 28) else v
+
+        monkeypatch.setattr(module, name, flipped)
+        (f,) = audit.crossval_sweep(5, 6, 60)
+        assert (f.claim_id, f.a, f.b, f.modulus, f.note) == (
+            audit.CLAIM_CUSTOM, *ab, 28, f"{route} disagrees with brute force")

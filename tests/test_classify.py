@@ -170,7 +170,7 @@ class TestIsOddlyGood:
 
     def test_literal_variant_differs_at_19_1_60(self):
         per = classify.is_good(Pair(19, 1), 60)
-        lit = audit._literal_oddly_good(Pair(19, 1), arith.factorize(60))
+        lit = audit._literal_oddly_good(Pair(19, 1), 60)
         truth = oracle.brute_force_verdict(Pair(19, 1), 60)
         assert lit is True
         assert per.oddly_good is False
@@ -197,7 +197,7 @@ class TestIsOddlyGood:
         assume(math.gcd(ab[0] * ab[1], ell) == 1)
         pair = Pair(*ab)
         per = classify.is_good(pair, ell).oddly_good
-        assert audit._literal_oddly_good(pair, arith.factorize(ell)) == per
+        assert audit._literal_oddly_good(pair, ell) == per
 
 
 class TestSumValuationDeciders:

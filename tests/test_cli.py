@@ -4,6 +4,7 @@ import json
 import math
 import os
 import random
+import re
 import signal
 import subprocess
 import sys
@@ -535,6 +536,136 @@ class TestNonPositiveJobs:
             runs.append((code, capsys.readouterr().out))
         assert runs[1] == runs[2] == runs[0]
 
+
+
+def run_main(argv):
+    """cli.main(argv) in process: (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse refuses the argv
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+# Each record kind's keys in schema order: those always present, then the
+# optional ones, each written only when set.
+SCHEMA_KEYS = {
+    "verdict": (("schema_version", "kind", "ell", "a", "b", "good", "oddly_good",
+                 "evenly_good", "witness", "method"), ("s_val2", "order_claim_ok", "agreement")),
+    "finding": (("schema_version", "kind", "claim", "a", "b", "modulus", "x",
+                 "literal_verdict", "oracle_verdict", "discrepancy", "note"), ()),
+    "order": (("schema_version", "kind", "x", "modulus", "order", "components"), ()),
+}
+KIND_OF = {"classify": "verdict", "order": "order", "audit": "finding"}
+
+
+def check_contract(argv, code, out, err):
+    """The CLI's promises for any argv: a known exit code, a refusal that
+    writes nothing to stdout and one message to stderr, and on success only
+    schema_version 1 records of the subcommand's kind, keys in schema order."""
+    assert code in (0, 1, 2, 3), (argv, code, err)
+    if code in (1, 2):
+        assert out == "", argv
+        lines = err.splitlines()
+        if code == 1:  # the usage, wrapped onto indented lines, then the error
+            assert lines[0].startswith("usage: goodint"), (argv, err)
+            assert all(line.startswith(" ") for line in lines[1:-1]), (argv, err)
+            assert re.fullmatch(r"goodint( \w+)?: error: .+", lines[-1]), (argv, err)
+        else:
+            assert len(lines) == 1 and lines[0].startswith("goodint: "), (argv, err)
+        return
+    assert err == "" and (out == "" or out.endswith("\n")), argv
+    required, optional = SCHEMA_KEYS[KIND_OF[argv[0]]]
+    for line in out.splitlines():
+        rec = json.loads(line)
+        assert rec["schema_version"] == 1 and rec["kind"] == KIND_OF[argv[0]], argv
+        keys = list(rec)
+        assert keys[:len(required)] == list(required), (argv, line)
+        assert keys[len(required):] == [k for k in optional if k in rec], (argv, line)
+
+
+# Integers at and around every bound the CLI checks: the sweep bounds 1000
+# and 10**4, brute_force_sweep's int32 bound 46 340, brute force's 10**6 in
+# classify, factorize's 2**63, and jitman-eq1's 20.
+EDGES = (0, 1, -1, 2, 3, 5, 20, 21, 60, 1000, 1001, 10**4, 10**4 + 1, 46340, 46341,
+         10**6, 10**6 + 1, 2**63 - 2, 2**63 - 1, 2**63, 2**63 + 1, -2**63)
+edges = st.sampled_from(EDGES)
+# Bound values, or small ordinary ones, so that many draws are accepted.
+values = edges | st.integers(-30, 30)
+sizes = edges | st.integers(0, 9)
+ell_maxes = edges | st.integers(1, 200)
+# jitman-eq2 at its limit 10**4 runs about 13 s, so in-range draws stay small.
+d_maxes = st.sampled_from((-1, 0, 1, 2, 3, 5, 21, 60, 10**4 + 1, 46341, 2**63))
+# --jobs 2 and up start a process pool; those draws are in test_two_jobs_same_bytes.
+serial_jobs = st.sampled_from((-2**63, -3, -1, 0, 1))
+GARBAGE = ("", "1.5", "0x10", "ten")
+
+
+def cheap_sweep(bounds):
+    """Refused for a bound before any work, or at most about 0.1 s of sweep:
+    a_max * b_max counts at least the pairs of either sweep."""
+    a_max, b_max, ell_max = bounds
+    if not (0 <= a_max <= 1000 and 0 <= b_max <= 1000 and 1 <= ell_max <= 10**4):
+        return True
+    return a_max * b_max * (ell_max * (ell_max + 2500) + 15000) <= 2 * 10**7
+
+
+@st.composite
+def cli_argvs(draw):
+    """A classify, order or audit argv with its values at the bounds or small;
+    now and then its first option, which is required, is left out or a value
+    is garbled."""
+    form = draw(st.sampled_from(("classify", "order", "jitman-eq1", "jitman-eq2",
+                                 "thm2-literal", "crossval")))
+    if form == "classify":
+        options = [("--a", draw(values)), ("--b", draw(values)), ("--ell", draw(values)),
+                   ("--method", draw(st.sampled_from(cli._METHODS + ("all",))))]
+    elif form == "order":
+        options = [("--x", draw(values)), ("--mod", draw(values))]
+    elif form == "jitman-eq1":
+        options = [("--claim", form), ("--beta", draw(values))]
+    elif form == "jitman-eq2":
+        options = [("--claim", form), ("--d-max", draw(d_maxes))]
+    else:
+        a_max, b_max, ell_max = draw(st.tuples(sizes, sizes, ell_maxes).filter(cheap_sweep))
+        options = [("--claim", form), ("--a-max", a_max), ("--b-max", b_max),
+                   ("--ell-max", ell_max), ("--jobs", draw(serial_jobs))]
+    mutation = draw(st.sampled_from(("none",) * 8 + ("drop", "garble")))
+    if mutation == "drop":
+        options = options[1:]
+    elif mutation == "garble":
+        i = draw(st.integers(0, len(options) - 1))
+        options[i] = (options[i][0], draw(st.sampled_from(GARBAGE)))
+    command = form if form in ("classify", "order") else "audit"
+    return [command, *(f"{flag}={value}" for flag, value in options)]
+
+
+class TestArgvContract:
+    @seed(20182)
+    @settings(max_examples=200, deadline=None)
+    @given(cli_argvs())
+    @example(["order", "--x=5", "--mod=0"])
+    @example(["classify", "--a=3", "--b=5", "--ell=1000001", "--method=brute"])
+    @example(["audit", "--claim=crossval", "--a-max=613", "--b-max=613", "--ell-max=1",
+              "--jobs=1"])
+    @example(["audit", "--claim=thm2-literal", "--a-max=1000", "--b-max=1000",
+              "--ell-max=10000", "--jobs=1"])
+    def test_exit_codes_and_records(self, argv):
+        check_contract(argv, *run_main(argv))
+
+    @seed(20183)
+    @settings(max_examples=4, deadline=None)
+    @given(st.sampled_from(("crossval", "thm2-literal")), st.integers(0, 21),
+           st.integers(0, 21), st.integers(1, 120))
+    @example("thm2-literal", 21, 21, 120)
+    def test_two_jobs_same_bytes(self, claim, a_max, b_max, ell_max):
+        argv = ["audit", f"--claim={claim}", f"--a-max={a_max}", f"--b-max={b_max}",
+                f"--ell-max={ell_max}"]
+        one, two = (run_main([*argv, f"--jobs={jobs}"]) for jobs in (1, 2))
+        assert one == two
+        check_contract(argv, *one)
 
 def verdict_record(a, b, v, agreement=None):
     """The record dict that json.dumps encoded before the line encoder."""

@@ -1,10 +1,12 @@
-"""Every name a goodint module imports is used in that module, and every
-cache a goodint module holds is bounded."""
+"""Every name a goodint module imports is used in that module, every name it
+defines is read somewhere in goodint, and every cache a goodint module holds
+is bounded."""
 
 import ast
 import glob
 import importlib
 import os
+from collections import Counter
 
 import pytest
 
@@ -47,6 +49,85 @@ def test_checker_finds_an_unused_import():
 def test_no_unused_import(path):
     with open(path, encoding="utf-8") as fh:
         assert unused_imports(fh.read()) == [], path
+
+
+def _reads(node) -> Counter:
+    """How often each name is loaded under node, as a Name or an Attribute."""
+    return Counter(
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load))
+
+
+def _definitions(tree):
+    """(class or None, name, node) for each module-level function, class and
+    constant of tree, and each method of those classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield None, node.name, node
+            for item in node.body if isinstance(node, ast.ClassDef) else ():
+                if isinstance(item, ast.FunctionDef):
+                    yield node.name, item.name, item
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name):
+                    yield None, target.id, node
+
+
+def dead_definitions(modules: dict[str, tuple[str, dict]], exported: set[str]) -> list[str]:
+    """Definitions that no module reads: the checker twin of unused_imports.
+
+    modules maps a module name to its source and its namespace.  A name is
+    read where it is loaded, as a Name or an Attribute, in any module and
+    outside its own definition; names match by spelling alone.  Exempt are
+    names in exported, dunder names (the interpreter or a library calls
+    them) and methods that override a base-class method, whose callers live
+    in the base class.
+    """
+    trees = {mod: ast.parse(source) for mod, (source, _) in modules.items()}
+    reads = sum(map(_reads, trees.values()), Counter())
+    dead = []
+    for mod, tree in trees.items():
+        for cls, name, node in _definitions(tree):
+            if (name in exported or (name.startswith("__") and name.endswith("__"))
+                    or reads[name] > _reads(node)[name]):
+                continue
+            namespace = modules[mod][1]
+            if cls and any(hasattr(base, name) for base in namespace[cls].__mro__[1:]):
+                continue
+            dead.append(".".join(filter(None, (mod, cls, name))))
+    return sorted(dead)
+
+
+def test_checker_finds_a_dead_definition():
+    source = ("import argparse\nLIMIT = 3\n_SPARE: int = 4\n"
+              "class P(argparse.ArgumentParser):\n"
+              "    def error(self, message):\n        pass\n"
+              "    def __repr__(self):\n        return 'P'\n"
+              "    def _again(self):\n        return self._again()\n"
+              "def _loop(n):\n    return _loop(n - 1)\n"
+              "def _limit():\n    return LIMIT\n"
+              "def public():\n    return P(), _limit()\n")
+    namespace = {}
+    exec(source, namespace)
+    assert dead_definitions({"m": (source, namespace)}, {"public"}) == [
+        "m.P._again", "m._SPARE", "m._loop"]
+
+
+def test_no_dead_definition():
+    import goodint
+
+    modules = {}
+    for path in MODULES:
+        name = os.path.basename(path)[:-3]
+        with open(path, encoding="utf-8") as fh:
+            source = fh.read()
+        # __main__ defines nothing, and importing it runs the CLI.
+        namespace = {} if name == "__main__" else vars(
+            importlib.import_module(f"goodint.{name}" if name != "__init__" else "goodint"))
+        modules[name] = (source, namespace)
+    assert dead_definitions(modules, set(goodint.__all__)) == []
 
 
 def lru_caches() -> dict[str, object]:
