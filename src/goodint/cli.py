@@ -20,7 +20,7 @@ from itertools import filterfalse, repeat
 from operator import attrgetter
 
 from . import arith, audit, classify, oracle
-from .core import Pair, Verdict, parallel_map
+from .core import Pair, parallel_map
 
 SCHEMA_VERSION = 1
 ENUM_LIMIT = 10**8
@@ -86,23 +86,23 @@ def _diagnostics(s_val2: int | None, order_claim_ok: bool | None) -> str:
 
 
 def _finding_line(claim: str, a: int, b: int, modulus: int, x: int,
-                  literal: bool, oracle_v: bool, note: str) -> str:
+                  literal: bool, oracle_v: bool, discrepancy: bool, note: str) -> str:
     """One finding record as compact JSON, keys in schema order.
 
-    Equal to json.dumps of the record with separators (",", ":").  Claim ids
-    are plain identifiers, and every note is built from integers and fixed
-    words (inside audit, or from the jitman_eq2 columns in
-    _write_negation_findings), so neither needs escaping.  discrepancy is
-    literal != oracle_v, as in AuditFinding.  a, x and the note may be "%d"
-    placeholders, making the line a %-template for _write_negation_findings;
-    no other "%" can occur in it.
+    The arguments are AuditFinding's fields in order, so a finding f is
+    written as _finding_line(*f).  Equal to json.dumps of the record with
+    separators (",", ":").  Claim ids are plain identifiers, and every note
+    is built from integers and fixed words (inside audit, or from the
+    jitman_eq2 columns in _write_negation_findings), so neither needs
+    escaping.  a, x and the note may be "%d" placeholders, making the line a
+    %-template for _write_negation_findings; no other "%" can occur in it.
     """
     return (
         f'{{"schema_version":{SCHEMA_VERSION},"kind":"finding","claim":"{claim}",'
         f'"a":{a},"b":{b},"modulus":{modulus},"x":{x},'
         f'"literal_verdict":{_JSON_BOOL[literal]},'
         f'"oracle_verdict":{_JSON_BOOL[oracle_v]},'
-        f'"discrepancy":{_JSON_BOOL[literal != oracle_v]},"note":"{note}"}}'
+        f'"discrepancy":{_JSON_BOOL[discrepancy]},"note":"{note}"}}'
     )
 
 
@@ -110,17 +110,16 @@ def _finding_line(claim: str, a: int, b: int, modulus: int, x: int,
 # classify
 # ---------------------------------------------------------------------------
 
-_METHODS = ("theorem", "corollary", "oracle", "brute")
+def _routes() -> dict:
+    """Each --method name and its route, in the order --method all reports them.
 
-
-def _one_verdict(pair: Pair, ell: int, method: str) -> Verdict:
-    if method == "theorem":
-        return classify.is_good(pair, ell)
-    if method == "corollary":
-        return classify.is_good_via_sum_valuation(pair, ell)
-    if method == "oracle":
-        return oracle.order_oracle_verdict(pair, ell)
-    return oracle.brute_force_verdict(pair, ell)
+    Built per call, not at import, so that a route patched by a test or
+    wrapped in place by a tracer is the one classify runs.
+    """
+    return {"theorem": classify.is_good,
+            "corollary": classify.is_good_via_sum_valuation,
+            "oracle": oracle.order_oracle_verdict,
+            "brute": oracle.brute_force_verdict}
 
 
 def _cmd_classify(args) -> int:
@@ -129,11 +128,12 @@ def _cmd_classify(args) -> int:
     if args.method == "brute" and not brute_ok:
         raise ValueError(f"brute force runs only for ell <= {BRUTE_FORCE_LIMIT}, "
                          f"got {args.ell}")
+    routes = _routes()
     methods = [args.method]
     if args.method == "all":
-        methods = [m for m in _METHODS
+        methods = [m for m in routes
                    if (m != "corollary" or pair.ab_odd) and (m != "brute" or brute_ok)]
-    verdicts = [_one_verdict(pair, args.ell, m) for m in methods]
+    verdicts = [routes[m](pair, args.ell) for m in methods]
     agreement = None
     if args.method == "all":
         # The answer crossval compares: flags and witness, not the method tag.
@@ -217,7 +217,7 @@ def _write_negation_findings(d_max: int) -> None:
     for d, x, k, y, t in audit.audit_negation_from_even_order(d_max):
         digits += map(str, range(len(digits), d))  # x, k, y and t are below d
         head, p1, p2, p3, p4, tail = (
-            _finding_line(claim, "%d", 1, d, "%d", False, True,
+            _finding_line(claim, "%d", 1, d, "%d", False, True, True,
                           f"order %d; pow(x, %d, {d}) = %d") + "\n").split("%d")
         # A line's tail and the next line's head share a slot; the first
         # line has no tail before it and the last one's closes the list.
@@ -243,8 +243,7 @@ def _cmd_audit(args) -> int:
     else:
         findings = audit.crossval_sweep(*bounds)
     for f in sorted(findings, key=lambda f: (f.modulus, f.a, f.b)):
-        sys.stdout.write(_finding_line(f.claim_id, f.a, f.b, f.modulus, f.x,
-                                       f.literal_verdict, f.oracle_verdict, f.note) + "\n")
+        sys.stdout.write(_finding_line(*f) + "\n")
     return EXIT_DISCREPANCY if findings and args.claim == "crossval" else EXIT_OK
 
 
@@ -261,7 +260,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--b", type=int, required=True)
     p.add_argument("--ell", type=int, required=True)
-    p.add_argument("--method", choices=_METHODS + ("all",), default="all")
+    p.add_argument("--method", choices=(*_routes(), "all"), default="all")
     p.set_defaults(fn=_cmd_classify)
 
     p = sub.add_parser("enumerate", help="stream verdicts for ell = 1..max")

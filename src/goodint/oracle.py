@@ -118,8 +118,6 @@ def brute_force_sweep(pair: Pair, ell_max: int) -> list[Verdict]:
     """
     if ell_max < 0:
         raise ValueError(f"ell_max must be non-negative, got {ell_max}")
-    if ell_max == 0:
-        return []
     if ell_max > _SWEEP_ELL_CAP:
         raise ValueError(f"ell_max must be at most {_SWEEP_ELL_CAP}, got {ell_max}")
     B = min(_BLOCK, 1 << (2 * ell_max - 1).bit_length())

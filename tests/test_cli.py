@@ -121,6 +121,22 @@ class TestClassify:
         assert [r["method"] for r in recs] == ["theorem", "corollary", "oracle", "brute_force"]
         assert all(r["agreement"] is True for r in recs)
 
+    def test_shared_prime_decides_above_the_factoring_bound(self):
+        # 2 divides both a and 2**64: the modulus is bad before any
+        # factoring, so the factoring bound 2**63 is never reached.
+        code, out, err = run_main(["classify", "--a", "2", "--b", "3",
+                                   "--ell", str(2**64)])
+        assert code == 0 and err == ""
+        recs = [json.loads(line) for line in out.splitlines()]
+        assert [r["method"] for r in recs] == ["theorem", "oracle"]
+        assert all(r["good"] is False and r["agreement"] is True for r in recs)
+
+    def test_factoring_bound_refuses_above_two_to_the_63(self):
+        code, out, err = run_main(["classify", "--a", "1", "--b", "2",
+                                   "--ell", str(2**64 + 1)])
+        assert code == 2 and out == ""
+        assert err == f"goodint: {2**64 + 1} exceeds the supported bound 2**63\n"
+
 
 class TestEnumerate:
     def test_good_filter(self):
@@ -321,7 +337,7 @@ class TestAudit:
     def test_negation_stdout_matches_row_encoding(self):
         claim = audit.CLAIM_NEGATION_FROM_EVEN_ORDER
         expected = "".join(
-            cli._finding_line(claim, xi, 1, d, xi, False, True,
+            cli._finding_line(claim, xi, 1, d, xi, False, True, True,
                               f"order {ti}; pow(x, {ki}, {d}) = {yi}") + "\n"
             for d, x, k, y, t in audit.audit_negation_from_even_order(201)
             for xi, ki, yi, ti in zip(x.tolist(), k.tolist(), y.tolist(), t.tolist())
@@ -621,7 +637,7 @@ def cli_argvs(draw):
                                  "thm2-literal", "crossval")))
     if form == "classify":
         options = [("--a", draw(values)), ("--b", draw(values)), ("--ell", draw(values)),
-                   ("--method", draw(st.sampled_from(cli._METHODS + ("all",))))]
+                   ("--method", draw(st.sampled_from((*cli._routes(), "all"))))]
     elif form == "order":
         options = [("--x", draw(values)), ("--mod", draw(values))]
     elif form == "jitman-eq1":
@@ -764,8 +780,7 @@ def finding_record(f):
 
 
 def finding_line(f):
-    return cli._finding_line(f.claim_id, f.a, f.b, f.modulus, f.x,
-                             f.literal_verdict, f.oracle_verdict, f.note)
+    return cli._finding_line(*f)
 
 
 class TestFindingLine:
