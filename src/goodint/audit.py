@@ -57,7 +57,8 @@ def _finding(claim_id, a, b, modulus, x, literal, oracle_v, note=""):
 
 
 # ---------------------------------------------------------------------------
-# Order tables for odd prime powers (cyclic groups), shared by the scanners.
+# Order tables for odd prime powers (cyclic groups), read only by the
+# jitman_eq2 scan, audit_negation_from_even_order.
 # ---------------------------------------------------------------------------
 
 def primitive_root(pp: int) -> int:

@@ -1,15 +1,23 @@
-"""Shared brute-force reference oracles for the test suite.
+"""Shared brute-force reference oracles and the CLI harness for the test suite.
 
-Everything here is deliberately naive -- linear scans and direct pow calls
--- so the implementations under test are checked against code that shares
+The oracles are deliberately naive -- linear scans and direct pow calls --
+so the implementations under test are checked against code that shares
 none of their logic.
+
+run_main drives the CLI in process, through cli.main with stdout and stderr
+captured; records parses its stdout.  A test starts a real `python -m
+goodint` process only where the process itself is what it checks: signals,
+a closed pipe, a fresh interpreter or the entry point.
 """
 
+import contextlib
+import io
+import json
 import math
 
 import pytest
 
-from goodint import arith
+from goodint import arith, cli
 
 # Edge moduli for multiplicative_order: every power of two up to 2**63 and
 # the largest prime below 2**63, with odd residues of both signs.
@@ -65,6 +73,23 @@ def witness_by_scan(a: int, b: int, ell: int, k_max: int):
         if w_odd is not None and w_even is not None:
             break
     return w, w_odd, w_even
+
+
+def run_main(argv):
+    """cli.main(argv) in process: (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse refuses the argv
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def records(out):
+    """The JSON records of a CLI run's stdout, one per line."""
+    assert out == "" or out.endswith("\n")
+    return [json.loads(line) for line in out.splitlines()]
 
 
 def factor_by_trial(n: int) -> dict[int, int]:

@@ -16,28 +16,45 @@ from hypothesis import strategies as st
 
 from goodint import audit, classify, cli, oracle
 from goodint.core import Pair, Verdict
-from conftest import order_by_scan
+from conftest import order_by_scan, records, run_main
 
 PKG_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def run_cli(*args, timeout=None):
-    return subprocess.run(
-        [sys.executable, "-m", "goodint", *args],
-        capture_output=True, text=True, cwd=PKG_ROOT, timeout=timeout,
-    )
+def refuse_work(monkeypatch, module, name):
+    """Make module.name raise, so a run that reaches it fails the test."""
+    def refuse(*args):
+        raise AssertionError(f"{module.__name__}.{name} ran")
+
+    monkeypatch.setattr(module, name, refuse)
 
 
-def records(proc):
-    assert proc.stdout == "" or proc.stdout.endswith("\n")
-    return [json.loads(line) for line in proc.stdout.splitlines()]
+class TestEntryPoint:
+    def test_python_m_goodint_exit_codes(self):
+        # __main__.py's sys.exit(main()): the one test of the real entry point.
+        def run(*args):
+            return subprocess.run([sys.executable, "-m", "goodint", *args],
+                                  capture_output=True, text=True, cwd=PKG_ROOT, timeout=60)
+
+        proc = run("classify", "--a", "1", "--b", "2", "--ell", "5", "--method", "oracle")
+        assert (proc.returncode, proc.stderr) == (0, "")
+        (rec,) = records(proc.stdout)
+        assert rec["kind"] == "verdict" and rec["good"] and rec["witness"] == 2
+        proc = run("classify", "--a", "1", "--b", "2")
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr.startswith("usage: goodint")
+        proc = run("enumerate", "--a", "2", "--b", "4", "--max", "5")
+        assert proc.returncode == 2 and proc.stdout == ""
+        (line,) = proc.stderr.splitlines()
+        assert line.startswith("goodint: ") and "coprime" in line
 
 
 class TestClassify:
     def test_all_methods_agree(self):
-        proc = run_cli("classify", "--a", "1", "--b", "2", "--ell", "5", "--method", "all")
-        assert proc.returncode == 0
-        recs = records(proc)
+        code, out, _ = run_main(["classify", "--a", "1", "--b", "2", "--ell", "5",
+                                 "--method", "all"])
+        assert code == 0
+        recs = records(out)
         # even pair: the sum-valuation decider is out of domain, three remain
         assert [r["method"] for r in recs] == ["theorem", "oracle", "brute_force"]
         for r in recs:
@@ -45,35 +62,39 @@ class TestClassify:
             assert r["good"] and r["witness"] == 2 and r["agreement"] is True
 
     def test_all_methods_odd_pair_includes_corollary(self):
-        proc = run_cli("classify", "--a", "3", "--b", "5", "--ell", "8")
-        recs = records(proc)
+        _, out, _ = run_main(["classify", "--a", "3", "--b", "5", "--ell", "8"])
+        recs = records(out)
         assert [r["method"] for r in recs] == ["theorem", "corollary", "oracle", "brute_force"]
         assert all(r["agreement"] for r in recs)
 
     def test_counterexample_pair(self):
-        proc = run_cli("classify", "--a", "11", "--b", "1", "--ell", "8", "--method", "oracle")
-        (rec,) = records(proc)
+        _, out, _ = run_main(["classify", "--a", "11", "--b", "1", "--ell", "8",
+                              "--method", "oracle"])
+        (rec,) = records(out)
         assert rec["good"] is False and rec["witness"] is None
 
     def test_unit_instance(self):
-        proc = run_cli("classify", "--a", "1", "--b", "1", "--ell", "1", "--method", "brute")
-        (rec,) = records(proc)
+        _, out, _ = run_main(["classify", "--a", "1", "--b", "1", "--ell", "1",
+                              "--method", "brute"])
+        (rec,) = records(out)
         assert rec["good"] and rec["witness"] == 1
 
     def test_negative_operand(self):
-        proc = run_cli("classify", "--a=-3", "--b", "5", "--ell", "8", "--method", "oracle")
-        assert proc.returncode == 0
-        (rec,) = records(proc)
+        code, out, _ = run_main(["classify", "--a=-3", "--b", "5", "--ell", "8",
+                                 "--method", "oracle"])
+        assert code == 0
+        (rec,) = records(out)
         assert rec["a"] == -3
 
     def test_corollary_outside_domain_is_precondition_error(self):
-        proc = run_cli("classify", "--a", "1", "--b", "2", "--ell", "5", "--method", "corollary")
-        assert proc.returncode == 2
-        assert proc.stdout == ""
+        code, out, _ = run_main(["classify", "--a", "1", "--b", "2", "--ell", "5",
+                                 "--method", "corollary"])
+        assert code == 2
+        assert out == ""
 
     def test_usage_error(self):
-        proc = run_cli("classify", "--a", "1", "--b", "2")
-        assert proc.returncode == 1
+        code, _, _ = run_main(["classify", "--a", "1", "--b", "2"])
+        assert code == 1
 
     def test_corollary_reports_s_when_two_part_fails(self, capsys):
         # At ell = 12 = 4 * 3 the 2-part of (1, 5) fails (nu2(6) = 1 < 2),
@@ -97,27 +118,29 @@ class TestClassify:
         assert len(lines) == 3
         assert all(line.endswith('"agreement":false}') for line in lines)
 
-    def test_brute_force_left_out_above_its_limit(self):
+    def test_brute_force_left_out_above_its_limit(self, monkeypatch):
+        refuse_work(monkeypatch, oracle, "brute_force_verdict")
         t0 = time.monotonic()
-        proc = run_cli("classify", "--a", "3", "--b", "5", "--ell", "1000000007", timeout=10)
+        code, out, _ = run_main(["classify", "--a", "3", "--b", "5", "--ell", "1000000007"])
         assert time.monotonic() - t0 < 2
-        assert proc.returncode == 0
-        recs = records(proc)
+        assert code == 0
+        recs = records(out)
         assert [r["method"] for r in recs] == ["theorem", "corollary", "oracle"]
         assert all(r["agreement"] is True for r in recs)
 
-    def test_brute_force_refused_above_its_limit(self):
+    def test_brute_force_refused_above_its_limit(self, monkeypatch):
+        refuse_work(monkeypatch, oracle, "brute_force_verdict")
         t0 = time.monotonic()
-        proc = run_cli("classify", "--a", "3", "--b", "5", "--ell", "1000000007",
-                       "--method", "brute", timeout=10)
+        code, out, _ = run_main(["classify", "--a", "3", "--b", "5", "--ell", "1000000007",
+                                 "--method", "brute"])
         assert time.monotonic() - t0 < 2
-        assert proc.returncode == 2 and proc.stdout == ""
+        assert code == 2 and out == ""
 
     def test_brute_force_runs_at_its_limit(self):
         ell = str(cli.BRUTE_FORCE_LIMIT)
-        proc = run_cli("classify", "--a", "3", "--b", "5", "--ell", ell, timeout=60)
-        assert proc.returncode == 0
-        recs = records(proc)
+        code, out, _ = run_main(["classify", "--a", "3", "--b", "5", "--ell", ell])
+        assert code == 0
+        recs = records(out)
         assert [r["method"] for r in recs] == ["theorem", "corollary", "oracle", "brute_force"]
         assert all(r["agreement"] is True for r in recs)
 
@@ -127,7 +150,7 @@ class TestClassify:
         code, out, err = run_main(["classify", "--a", "2", "--b", "3",
                                    "--ell", str(2**64)])
         assert code == 0 and err == ""
-        recs = [json.loads(line) for line in out.splitlines()]
+        recs = records(out)
         assert [r["method"] for r in recs] == ["theorem", "oracle"]
         assert all(r["good"] is False and r["agreement"] is True for r in recs)
 
@@ -140,17 +163,17 @@ class TestClassify:
 
 class TestEnumerate:
     def test_good_filter(self):
-        proc = run_cli("enumerate", "--a", "1", "--b", "2", "--max", "10",
-                       "--filter", "good", "--jobs", "1")
-        assert proc.returncode == 0
-        assert [r["ell"] for r in records(proc)] == [1, 3, 5, 9]
+        code, out, _ = run_main(["enumerate", "--a", "1", "--b", "2", "--max", "10",
+                                 "--filter", "good", "--jobs", "1"])
+        assert code == 0
+        assert [r["ell"] for r in records(out)] == [1, 3, 5, 9]
 
     def test_evenly_filter(self, capsys):
         # ell 1 and 2 are good, oddly good and evenly good at once; ell 4 is
         # oddly good only, and 3 divides 3 * 5.
         assert cli.main(["enumerate", "--a", "3", "--b", "5", "--max", "4",
                          "--filter", "evenly", "--jobs", "1"]) == 0
-        recs = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        recs = records(capsys.readouterr().out)
         assert [r["ell"] for r in recs] == [1, 2]
 
     @pytest.mark.parametrize("flt, flag", [("oddly", "oddly_good"), ("bad", None)])
@@ -158,7 +181,7 @@ class TestEnumerate:
     def test_oddly_and_bad_filters(self, ab, flt, flag, capsys):
         assert cli.main(["enumerate", "--a", str(ab[0]), "--b", str(ab[1]), "--max", "60",
                          "--filter", flt, "--jobs", "1"]) == 0
-        recs = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        recs = records(capsys.readouterr().out)
         verdicts = [oracle.order_oracle_verdict(Pair(*ab), ell) for ell in range(1, 61)]
         keep = [v.ell for v in verdicts if (getattr(v, flag) if flag else not v.good)]
         assert [r["ell"] for r in recs] == keep and keep
@@ -171,25 +194,26 @@ class TestEnumerate:
         assert out == "" and "--max must be in" in err
 
     def test_empty_range(self):
-        proc = run_cli("enumerate", "--a", "1", "--b", "2", "--max", "0")
-        assert proc.returncode == 0 and proc.stdout == ""
+        code, out, _ = run_main(["enumerate", "--a", "1", "--b", "2", "--max", "0"])
+        assert code == 0 and out == ""
 
     def test_precondition_violation(self):
-        proc = run_cli("enumerate", "--a", "2", "--b", "4", "--max", "5")
-        assert proc.returncode == 2
-        assert "coprime" in proc.stderr
+        code, _, err = run_main(["enumerate", "--a", "2", "--b", "4", "--max", "5"])
+        assert code == 2
+        assert "coprime" in err
 
     def test_sorted_and_well_formed(self):
-        proc = run_cli("enumerate", "--a", "3", "--b", "5", "--max", "50")
-        recs = records(proc)
+        _, out, _ = run_main(["enumerate", "--a", "3", "--b", "5", "--max", "50"])
+        recs = records(out)
         assert [r["ell"] for r in recs] == list(range(1, 51))
         assert all(r["schema_version"] == 1 for r in recs)
 
     def test_jobs_flag_does_not_change_bytes(self):
-        one = run_cli("enumerate", "--a", "3", "--b", "5", "--max", "2200", "--jobs", "1")
-        four = run_cli("enumerate", "--a", "3", "--b", "5", "--max", "2200", "--jobs", "4")
-        assert one.returncode == four.returncode == 0
-        assert one.stdout == four.stdout
+        argv = ["enumerate", "--a", "3", "--b", "5", "--max", "2200"]
+        one = run_main([*argv, "--jobs", "1"])
+        four = run_main([*argv, "--jobs", "4"])
+        assert one[0] == four[0] == 0
+        assert one[1] == four[1]
 
     def test_closed_stdout_stops_workers(self):
         t0 = time.monotonic()
@@ -270,61 +294,61 @@ class TestEnumerateProperty:
 
 class TestOrder:
     def test_order_of_11_mod_8(self):
-        (rec,) = records(run_cli("order", "--x", "11", "--mod", "8"))
+        (rec,) = records(run_main(["order", "--x", "11", "--mod", "8"])[1])
         assert rec["kind"] == "order" and rec["order"] == 2
         assert rec["x"] == 3 and rec["components"] == [[8, 2]]
 
     def test_identity(self):
-        (rec,) = records(run_cli("order", "--x", "1", "--mod", "97"))
+        (rec,) = records(run_main(["order", "--x", "1", "--mod", "97"])[1])
         assert rec["order"] == 1
-        (rec,) = records(run_cli("order", "--x", "1", "--mod", "360"))
+        (rec,) = records(run_main(["order", "--x", "1", "--mod", "360"])[1])
         assert rec["order"] == 1
 
     def test_mod_12(self):
-        (rec,) = records(run_cli("order", "--x", "7", "--mod", "12"))
+        (rec,) = records(run_main(["order", "--x", "7", "--mod", "12"])[1])
         assert rec["order"] == 2
         assert rec["components"] == [[4, 2], [3, 1]]
 
     def test_two_mod_seven(self):
-        (rec,) = records(run_cli("order", "--x", "2", "--mod", "7"))
+        (rec,) = records(run_main(["order", "--x", "2", "--mod", "7"])[1])
         assert rec["order"] == 3
 
     def test_components(self):
-        (rec,) = records(run_cli("order", "--x", "11", "--mod", "120"))
+        (rec,) = records(run_main(["order", "--x", "11", "--mod", "120"])[1])
         assert rec["order"] == 2
         assert rec["components"] == [[8, 2], [3, 2], [5, 1]]
 
     def test_non_coprime(self):
         for x, m in [(6, 9), (10, 15), (4, 2)]:
-            proc = run_cli("order", "--x", str(x), "--mod", str(m))
-            assert proc.returncode == 2 and proc.stdout == "", (x, m)
+            code, out, _ = run_main(["order", "--x", str(x), "--mod", str(m)])
+            assert code == 2 and out == "", (x, m)
 
     def test_modulus_must_be_positive(self):
         for m in ("0", "-7"):
-            proc = run_cli("order", "--x", "5", f"--mod={m}")
-            assert proc.returncode == 2 and proc.stdout == "", m
-            assert "modulus must be positive" in proc.stderr
+            code, out, err = run_main(["order", "--x", "5", f"--mod={m}"])
+            assert code == 2 and out == "", m
+            assert "modulus must be positive" in err
 
 
 class TestAudit:
     def test_order2_claim_includes_mod8_counterexample(self):
-        proc = run_cli("audit", "--claim", "jitman-eq1", "--beta", "3")
-        assert proc.returncode == 0
-        recs = records(proc)
+        code, out, _ = run_main(["audit", "--claim", "jitman-eq1", "--beta", "3"])
+        assert code == 0
+        recs = records(out)
         assert any(r["modulus"] == 8 and r["x"] == 3 and r["discrepancy"] for r in recs)
 
     def test_negation_claim_includes_11_mod_15(self):
-        proc = run_cli("audit", "--claim", "jitman-eq2", "--d-max", "15")
-        recs = records(proc)
+        _, out, _ = run_main(["audit", "--claim", "jitman-eq2", "--d-max", "15"])
+        recs = records(out)
         assert any(r["modulus"] == 15 and r["x"] == 11 for r in recs)
         assert all(r["claim"] == "jitman_eq2" for r in recs)
 
     def test_negation_records_are_counterexamples(self):
-        proc = run_cli("audit", "--claim", "jitman-eq2", "--d-max", "201")
-        assert proc.returncode == 0
-        recs = records(proc)
+        code, out, _ = run_main(["audit", "--claim", "jitman-eq2", "--d-max", "201"])
+        assert code == 0
+        recs = records(out)
         assert len(recs) > 0
-        assert proc.stdout == "".join(dumps(r) + "\n" for r in recs)
+        assert out == "".join(dumps(r) + "\n" for r in recs)
         for r in recs:
             d, x = r["modulus"], r["x"]
             assert (r["schema_version"], r["kind"], r["claim"]) == (1, "finding", "jitman_eq2")
@@ -342,9 +366,9 @@ class TestAudit:
             for d, x, k, y, t in audit.audit_negation_from_even_order(201)
             for xi, ki, yi, ti in zip(x.tolist(), k.tolist(), y.tolist(), t.tolist())
         )
-        proc = run_cli("audit", "--claim", "jitman-eq2", "--d-max", "201")
-        assert proc.returncode == 0
-        assert expected and proc.stdout == expected
+        code, out, _ = run_main(["audit", "--claim", "jitman-eq2", "--d-max", "201"])
+        assert code == 0
+        assert expected and out == expected
 
     def test_negation_stdout_matches_json_dumps_past_three_digits(self):
         # Up to 1009, x, k, y and the order run from 1 to 4 digits.  Every line
@@ -354,9 +378,9 @@ class TestAudit:
             for d, x, k, y, t in audit.audit_negation_from_even_order(1009)
             for xi, ki, yi, ti in zip(x.tolist(), k.tolist(), y.tolist(), t.tolist())
         ]
-        proc = run_cli("audit", "--claim", "jitman-eq2", "--d-max", "1009")
-        assert proc.returncode == 0 and proc.stderr == ""
-        lines = proc.stdout.split("\n")
+        code, out, err = run_main(["audit", "--claim", "jitman-eq2", "--d-max", "1009"])
+        assert code == 0 and err == ""
+        lines = out.split("\n")
         assert lines.pop() == "" and len(lines) == len(rows)
         small = sum(d < 1000 for d, *_ in rows)
         picked = sorted(random.Random(1009).sample(range(small), 3000))
@@ -373,69 +397,68 @@ class TestAudit:
             assert lines[i] == dumps(record), i
 
     def test_negation_claim_below_15_finds_nothing(self):
-        proc = run_cli("audit", "--claim", "jitman-eq2", "--d-max", "13")
-        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+        assert run_main(["audit", "--claim", "jitman-eq2", "--d-max", "13"]) == (0, "", "")
 
     def test_whole_order_claim_includes_19_1_60(self):
-        proc = run_cli("audit", "--claim", "thm2-literal", "--a-max", "19",
-                       "--b-max", "1", "--ell-max", "60")
-        assert proc.returncode == 0
-        recs = records(proc)
+        code, out, _ = run_main(["audit", "--claim", "thm2-literal", "--a-max", "19",
+                                 "--b-max", "1", "--ell-max", "60"])
+        assert code == 0
+        recs = records(out)
         assert any((r["a"], r["b"], r["modulus"]) == (19, 1, 60) for r in recs)
 
     def test_findings_sorted_by_modulus(self):
-        proc = run_cli("audit", "--claim", "thm2-literal", "--a-max", "21",
-                       "--b-max", "5", "--ell-max", "150")
-        keys = [(r["modulus"], r["a"], r["b"]) for r in records(proc)]
+        _, out, _ = run_main(["audit", "--claim", "thm2-literal", "--a-max", "21",
+                              "--b-max", "5", "--ell-max", "150"])
+        keys = [(r["modulus"], r["a"], r["b"]) for r in records(out)]
         assert keys == sorted(keys)
 
     def test_crossval_clean_exits_zero(self):
-        proc = run_cli("audit", "--claim", "crossval", "--a-max", "4",
-                       "--b-max", "4", "--ell-max", "60")
-        assert proc.returncode == 0 and proc.stdout == ""
+        code, out, _ = run_main(["audit", "--claim", "crossval", "--a-max", "4",
+                                 "--b-max", "4", "--ell-max", "60"])
+        assert code == 0 and out == ""
 
     @pytest.mark.parametrize("claim", ["crossval", "thm2-literal"])
     @pytest.mark.parametrize("flag,value", [("--ell-max", "100000"), ("--ell-max", "0"),
                                             ("--a-max", "1001"), ("--b-max", "1001"),
                                             ("--a-max=-1", None), ("--b-max=-1", None)])
-    def test_sweep_bounds_refused_up_front(self, claim, flag, value):
+    def test_sweep_bounds_refused_up_front(self, claim, flag, value, monkeypatch):
+        refuse_work(monkeypatch, oracle, "brute_force_sweep")
         bound = [flag] if value is None else [flag, value]
         t0 = time.monotonic()
-        proc = run_cli("audit", "--claim", claim, *bound, "--jobs", "1", timeout=10)
+        code, out, _ = run_main(["audit", "--claim", claim, *bound, "--jobs", "1"])
         assert time.monotonic() - t0 < 2
-        assert proc.returncode == 2 and proc.stdout == ""
+        assert code == 2 and out == ""
 
     @pytest.mark.parametrize("claim", ["crossval", "thm2-literal"])
-    def test_oversized_sweep_refused(self, claim):
+    def test_oversized_sweep_refused(self, claim, monkeypatch):
         # Each bound is in range, but the sweep is far above its work limit.
+        refuse_work(monkeypatch, oracle, "brute_force_sweep")
         t0 = time.monotonic()
-        proc = run_cli("audit", "--claim", claim, "--a-max", "1000", "--b-max", "1000",
-                       "--ell-max", "10000", "--jobs", "1", timeout=10)
+        code, out, _ = run_main(["audit", "--claim", claim, "--a-max", "1000",
+                                 "--b-max", "1000", "--ell-max", "10000", "--jobs", "1"])
         assert time.monotonic() - t0 < 2
-        assert proc.returncode == 2 and proc.stdout == ""
+        assert code == 2 and out == ""
 
     @pytest.mark.parametrize("claim", ["crossval", "thm2-literal"])
     @pytest.mark.parametrize("ell_max", ["57", "1"])
     def test_small_ell_max_sweep_priced(self, claim, ell_max, monkeypatch, capsys):
         # 304 191 (crossval) or 202 661 pairs: minutes of work at ell_max 57
         # and tens of seconds at ell_max 1, most of it per ell and per pair.
-        def refuse(*args):
-            raise AssertionError("a pair task ran")
-
-        monkeypatch.setattr(oracle, "brute_force_sweep", refuse)
+        refuse_work(monkeypatch, oracle, "brute_force_sweep")
         code = cli.main(["audit", "--claim", claim, "--a-max", "1000", "--b-max", "1000",
                          "--ell-max", ell_max, "--jobs", "1"])
         assert code == 2 and capsys.readouterr().out == ""
 
-    def test_negation_claim_bound_refused_up_front(self):
+    def test_negation_claim_bound_refused_up_front(self, monkeypatch):
+        refuse_work(monkeypatch, audit, "order_table")
         t0 = time.monotonic()
-        proc = run_cli("audit", "--claim", "jitman-eq2", "--d-max", "10001", timeout=10)
+        code, out, _ = run_main(["audit", "--claim", "jitman-eq2", "--d-max", "10001"])
         assert time.monotonic() - t0 < 2
-        assert proc.returncode == 2 and proc.stdout == ""
+        assert code == 2 and out == ""
 
     def test_unknown_claim_is_usage_error(self):
-        proc = run_cli("audit", "--claim", "eq3")
-        assert proc.returncode == 1
+        code, _, _ = run_main(["audit", "--claim", "eq3"])
+        assert code == 1
 
 
 class TestClosedStdout:
@@ -551,18 +574,6 @@ class TestNonPositiveJobs:
             code = cli.main([*argv, "--jobs", jobs])
             runs.append((code, capsys.readouterr().out))
         assert runs[1] == runs[2] == runs[0]
-
-
-
-def run_main(argv):
-    """cli.main(argv) in process: (exit code, stdout, stderr)."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = cli.main(argv)
-        except SystemExit as exc:  # argparse refuses the argv
-            code = exc.code
-    return code, out.getvalue(), err.getvalue()
 
 
 # Each record kind's keys in schema order: those always present, then the
@@ -682,6 +693,7 @@ class TestArgvContract:
         one, two = (run_main([*argv, f"--jobs={jobs}"]) for jobs in (1, 2))
         assert one == two
         check_contract(argv, *one)
+
 
 def verdict_record(a, b, v, agreement=None):
     """The record dict that json.dumps encoded before the line encoder."""

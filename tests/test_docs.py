@@ -1,13 +1,11 @@
 """The README's library and CLI examples run, and the API names it gives exist."""
 
-import json
 import os
 import re
 import shlex
-import subprocess
-import sys
 
 import goodint
+from conftest import records, run_main
 
 PKG_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 README = os.path.join(PKG_ROOT, "README.md")
@@ -33,12 +31,11 @@ def test_cli_examples_run():
                 if line.startswith("goodint ")]
     assert len(commands) == 7
     for args in commands:
-        proc = subprocess.run([sys.executable, "-m", "goodint", *args],
-                              capture_output=True, text=True, cwd=PKG_ROOT)
-        assert proc.returncode == 0, (args, proc.stderr)
+        code, out, err = run_main(args)
+        assert code == 0, (args, err)
         # crossval prints nothing when every decider agrees with brute force
-        for line in proc.stdout.splitlines():
-            assert json.loads(line)["schema_version"] == 1, args
+        for rec in records(out):
+            assert rec["schema_version"] == 1, args
 
 
 def test_every_exported_name_resolves():
