@@ -12,7 +12,6 @@ Exit codes: 0 success, 1 usage error, 2 precondition violation,
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from contextlib import closing
@@ -47,30 +46,21 @@ class _Parser(argparse.ArgumentParser):
 _JSON_BOOL = {True: "true", False: "false"}
 
 
-# The '"good":...,"witness":' stretch of a verdict line for each flag triple,
-# indexed [good][oddly_good][evenly_good].
-_FLAG_TEXT = tuple(
-    tuple(
-        tuple(f'"good":{_JSON_BOOL[g]},"oddly_good":{_JSON_BOOL[o]},'
-              f'"evenly_good":{_JSON_BOOL[e]},"witness":' for e in (False, True))
-        for o in (False, True))
-    for g in (False, True))
-
-
 def _verdict_lines(a: int, b: int, verdicts, agreement: bool | None = None) -> list[str]:
     """Each verdict record as compact JSON, keys in schema order, with its "\n".
 
     Equal to json.dumps of the record with separators (",", ":"); method
     names are plain identifiers, so they need no escaping.  A line is the
-    pair's fixed text, the flag triple's entry of _FLAG_TEXT and the
-    verdict's own fields; s_val2, order_claim_ok and agreement are added
-    only when set.  verdicts may be any iterable and is read once.
+    pair's fixed text and the verdict's own fields, each flag through
+    _JSON_BOOL as in _finding_line; s_val2, order_claim_ok and agreement are
+    added only when set.  verdicts may be any iterable and is read once.
     """
     ab = f',"a":{a},"b":{b},'
     end = "}\n" if agreement is None else f',"agreement":{_JSON_BOOL[agreement]}}}\n'
     return [
         f'{{"schema_version":{SCHEMA_VERSION},"kind":"verdict","ell":{ell}{ab}'
-        f'{_FLAG_TEXT[good][oddly][evenly]}{"null" if witness is None else witness},'
+        f'"good":{_JSON_BOOL[good]},"oddly_good":{_JSON_BOOL[oddly]},'
+        f'"evenly_good":{_JSON_BOOL[evenly]},"witness":{"null" if witness is None else witness},'
         f'"method":"{method}"'
         f'{end if s_val2 is None and claim_ok is None else _diagnostics(s_val2, claim_ok) + end}'
         for ell, good, oddly, evenly, witness, method, s_val2, claim_ok in verdicts
@@ -186,16 +176,11 @@ def _cmd_enumerate(args) -> int:
 def _cmd_order(args) -> int:
     x, m = args.x, args.mod
     order = arith.multiplicative_order(x, m)
-    record = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "order",
-        "x": x % m,
-        "modulus": m,
-        "order": order,
-        "components": [[p**e, arith._prime_power_order(x % p**e, p, e)]
-                       for p, e in arith.factorize(m).prime_items()],
-    }
-    sys.stdout.write(json.dumps(record, separators=(",", ":")) + "\n")
+    # Equal to json.dumps of the record with separators (",", ":").
+    components = ",".join(f"[{p**e},{arith._prime_power_order(x % p**e, p, e)}]"
+                          for p, e in arith.factorize(m).prime_items())
+    sys.stdout.write(f'{{"schema_version":{SCHEMA_VERSION},"kind":"order","x":{x % m},'
+                     f'"modulus":{m},"order":{order},"components":[{components}]}}\n')
     return EXIT_OK
 
 

@@ -344,10 +344,11 @@ class TestParallelMap:
 
     def test_import_loads_no_pool_machinery(self):
         # The pool is imported only when parallel_map starts one, so a
-        # --jobs 1 run never pays for multiprocessing.
+        # --jobs 1 run never pays for multiprocessing; every record has a
+        # fixed-key encoder, so no run pays for json.
         code = ("import sys, goodint.cli; "
-                "print(sorted(m for m in ('multiprocessing', 'concurrent.futures.process') "
-                "if m in sys.modules))")
+                "print(sorted(m for m in ('multiprocessing', 'concurrent.futures.process', "
+                "'json') if m in sys.modules))")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "[]\n"

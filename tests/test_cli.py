@@ -11,10 +11,10 @@ import sys
 import time
 
 import pytest
-from hypothesis import example, given, seed, settings
+from hypothesis import assume, example, given, seed, settings
 from hypothesis import strategies as st
 
-from goodint import audit, classify, cli, oracle
+from goodint import arith, audit, classify, cli, oracle
 from goodint.core import Pair, Verdict
 from conftest import order_by_scan, records, run_main
 
@@ -328,6 +328,27 @@ class TestOrder:
             code, out, err = run_main(["order", "--x", "5", f"--mod={m}"])
             assert code == 2 and out == "", m
             assert "modulus must be positive" in err
+
+    @seed(20184)
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(-2**64, 2**64), st.integers(1, 2**63))
+    @example(-5, 1)
+    @example(-3, 2)
+    @example(-(2**62 + 1), 2**63)
+    @example(-2, (2**31 - 1)**2)  # a prime square
+    @example(3, 1073754191 * 2147490451)  # a 62-bit semiprime
+    def test_line_matches_json_dumps(self, x, m):
+        assume(math.gcd(x, m) == 1)
+        record = {
+            "schema_version": 1,
+            "kind": "order",
+            "x": x % m,
+            "modulus": m,
+            "order": arith.multiplicative_order(x, m),
+            "components": [[p**e, arith.multiplicative_order(x, p**e)]
+                           for p, e in arith.factorize(m).prime_items()],
+        }
+        assert run_main(["order", f"--x={x}", f"--mod={m}"]) == (0, dumps(record) + "\n", "")
 
 
 class TestAudit:
