@@ -26,7 +26,7 @@ FACTOR_INPUT_LIMIT = 2**63
 #    so below 2**20 it is 1 or prime and needs no primality test.
 # 3. Only a larger cofactor goes on to Miller-Rabin, the perfect-square split
 #    and Pollard rho, which beat a longer Python loop.  Miller-Rabin picks
-#    its bases by size: three below 4759123141, seven below 2**64, twelve
+#    its bases by size: three below 4759123141, seven below 2**64, thirteen
 #    above.
 _SPF_LIMIT = 2**16
 _TRIAL_LIMIT = 2**10
@@ -51,12 +51,12 @@ _SPF = _spf_table()
 
 # Miller-Rabin bases, each set deterministic below its bound: (2, 7, 61)
 # below 4759123141 (Jaeschke, Math. Comp. 1993), Sinclair's seven bases below
-# 2**64, and the first twelve primes below 3.3 * 10**24, which covers every
-# input we accept.  The twelve primes also screen out small factors.
+# 2**64, and the first thirteen primes below 3.3 * 10**24 (Sorenson and Webster,
+# Math. Comp. 2017), every input we accept.  They also screen out small factors.
 _MR_BASES_32 = (2, 7, 61)
 _MR_LIMIT_32 = 4759123141
 _MR_BASES_64 = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 class Factorization(NamedTuple):
@@ -100,10 +100,10 @@ def nu2(n: int) -> int:
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin (exact for n < 3.3e24).
 
-    After a screen by the primes up to 37, the bases depend on n's size:
+    After a screen by the primes up to 41, the bases depend on n's size:
     (2, 7, 61) below 4759123141 (Jaeschke, "On strong pseudoprimes to
     several bases", Math. Comp. 1993), Sinclair's seven bases (2011) below
-    2**64, and the primes up to 37 above.  Each base is reduced mod n and skipped
+    2**64, and the primes up to 41 above.  Each base is reduced mod n and skipped
     when it reduces to 0.
     """
     if n < 2:
@@ -258,23 +258,26 @@ def factorize(n: int) -> Factorization:
 def _prime_power_order(x: int, p: int, e: int) -> int:
     """Order of x mod p**e, for x in [0, p**e) coprime to p.
 
-    Starts from the group order t = p**(e-1) * (p-1), which every order
-    mod p**e divides, and peels its prime factors, so it never scans
-    linearly.  Those primes are the ones of p - 1 plus p itself when e > 1:
-    p is known here, so t is never factored whole, which for a large p would
-    send the cofactor p * (p-1) / 2**k to Pollard rho only to find p again.
+    First the order t mod p: start from p - 1, which it divides, and peel
+    the primes of factorize(p - 1), so it never scans linearly.  The order
+    mod p**e is t * p**j for some j < e, so when e > 1, t is multiplied by
+    p until x**t = 1 (mod p**e).  p is known here, so p**(e-1) * (p-1) is
+    never factored whole, which for a large p would send the cofactor
+    p * (p-1) / 2**k to Pollard rho only to find p again.
     """
-    t = p ** (e - 1) * (p - 1)
-    items = factorize(p - 1).prime_items()
-    if e > 1:
-        items += ((p, e - 1),)
-    pp = p**e
-    for q, k in items:
+    t = p - 1
+    for q, k in factorize(t).prime_items():
         for _ in range(k):
-            if pow(x, t // q, pp) == 1:
+            if pow(x, t // q, p) == 1:
                 t //= q
             else:
                 break
+    if e > 1:
+        pp = p**e
+        y = pow(x, t, pp)
+        while y != 1:
+            y = pow(y, p, pp)
+            t *= p
     return t
 
 

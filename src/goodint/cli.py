@@ -193,9 +193,8 @@ def _write_negation_findings(d_max: int) -> None:
 
     Each modulus's _finding_line template, with %d in place of a, x and the
     note's order, exponent and power, is cut at the %d into six fixed
-    pieces.  A row takes ten slots of one list, pieces and columns in turn,
-    so one join gives all the modulus's lines.  The columns' decimals come
-    from one table of str(i), grown as d grows.
+    pieces, and each row is one f-string over them and its columns.  The
+    columns' decimals come from one table of str(i), grown as d grows.
     """
     claim = audit.CLAIM_NEGATION_FROM_EVEN_ORDER
     digits: list[str] = []
@@ -204,16 +203,10 @@ def _write_negation_findings(d_max: int) -> None:
         head, p1, p2, p3, p4, tail = (
             _finding_line(claim, "%d", 1, d, "%d", False, True, True,
                           f"order %d; pow(x, %d, {d}) = %d") + "\n").split("%d")
-        # A line's tail and the next line's head share a slot; the first
-        # line has no tail before it and the last one's closes the list.
-        parts = [tail + head, "", p1, "", p2, "", p3, "", p4, ""] * len(x) + [tail]
-        parts[0] = head
-        xs = list(map(digits.__getitem__, x.tolist()))
-        parts[1::10] = parts[3::10] = xs
-        parts[5::10] = map(digits.__getitem__, t.tolist())
-        parts[7::10] = map(digits.__getitem__, k.tolist())
-        parts[9::10] = map(digits.__getitem__, y.tolist())
-        sys.stdout.write("".join(parts))
+        rows = zip(x.tolist(), t.tolist(), k.tolist(), y.tolist())
+        sys.stdout.write("".join([
+            f"{head}{digits[x]}{p1}{digits[x]}{p2}{digits[t]}{p3}{digits[k]}{p4}{digits[y]}{tail}"
+            for x, t, k, y in rows]))
 
 
 def _cmd_audit(args) -> int:

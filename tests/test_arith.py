@@ -146,7 +146,9 @@ class TestIsPrime:
         assert {p for p in range(100) if arith.is_prime(p)} == primes_below_100
 
     def test_strong_pseudoprime_composites(self):
-        for n in (3215031751, 3825123056546413051):  # fool small base sets
+        # Each fools a small base set; the last, psi_12 = 399165290221 *
+        # 798330580441, fools the first twelve primes.
+        for n in (3215031751, 3825123056546413051, 318665857834031151167461):
             assert not arith.is_prime(n)
 
     def test_large_prime(self):

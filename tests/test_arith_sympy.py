@@ -38,9 +38,12 @@ FIXED = (1031 * 1033, 999983**2, (2**31 - 1) ** 2, 2**61 - 1, 3215031751,
 
 # Each Miller-Rabin base set at its bound: 4759123141 = 48781 * 97561 fools
 # (2, 7, 61) and must take the 64-bit set; 4759123129 and 4759123151 are the
-# primes beside it; 2**64 - 59 and 2**64 + 13 are the primes beside 2**64.
+# primes beside it; 2**64 - 59 and 2**64 + 13 are the primes beside 2**64;
+# 318665857834031151167461, the least strong pseudoprime to the first twelve
+# primes (Sorenson and Webster 2017), needs the thirteenth.
 MR_BOUNDARY = (4759123141, 4759123129, 4759123151, 2**64 - 59, 2**64 + 13,
-               2**64 - 1, 2**64 + 1, 3215031751, 3825123056546413051)
+               2**64 - 1, 2**64 + 1, 3215031751, 3825123056546413051,
+               318665857834031151167461)
 
 
 def _as_dict(f: arith.Factorization) -> dict[int, int]:
