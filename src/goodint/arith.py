@@ -24,10 +24,8 @@ FACTOR_INPUT_LIMIT = 2**63
 #    below 2**10 (about 1.4 k bits), names the small primes of m, and only
 #    those are divided out.  What is left has no prime factor below 2**10,
 #    so below 2**20 it is 1 or prime and needs no primality test.
-# 3. Only a larger cofactor goes on to Miller-Rabin, the perfect-square split
-#    and Pollard rho, which beat a longer Python loop.  Miller-Rabin picks
-#    its bases by size: three below 4759123141, seven below 2**64, thirteen
-#    above.
+# 3. Only a larger cofactor goes on to Miller-Rabin (is_prime), the
+#    perfect-square split and Pollard rho, which beat a longer Python loop.
 _SPF_LIMIT = 2**16
 _TRIAL_LIMIT = 2**10
 _TRIAL_SQUARE = _TRIAL_LIMIT * _TRIAL_LIMIT
@@ -49,14 +47,12 @@ def _spf_table() -> bytes:
 
 _SPF = _spf_table()
 
-# Miller-Rabin bases, each set deterministic below its bound: (2, 7, 61)
-# below 4759123141 (Jaeschke, Math. Comp. 1993), Sinclair's seven bases below
-# 2**64, and the first thirteen primes below 3.3 * 10**24 (Sorenson and Webster,
-# Math. Comp. 2017), every input we accept.  They also screen out small factors.
+# Miller-Rabin base sets, each deterministic below its bound (see is_prime).
 _MR_BASES_32 = (2, 7, 61)
 _MR_LIMIT_32 = 4759123141
 _MR_BASES_64 = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
 
 
 class Factorization(NamedTuple):
@@ -98,16 +94,20 @@ def nu2(n: int) -> int:
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin (exact for n < 3.3e24).
+    """Deterministic Miller-Rabin, exact below psi_13 = 3317044064679887385961981.
 
     After a screen by the primes up to 41, the bases depend on n's size:
     (2, 7, 61) below 4759123141 (Jaeschke, "On strong pseudoprimes to
     several bases", Math. Comp. 1993), Sinclair's seven bases (2011) below
-    2**64, and the primes up to 41 above.  Each base is reduced mod n and skipped
-    when it reduces to 0.
+    2**64, and the primes up to 41 below psi_13 = 1287836182261 *
+    2575672364521, the least strong pseudoprime to all thirteen (Sorenson
+    and Webster, Math. Comp. 2017); from psi_13 on, n is refused with
+    ValueError.  Each base is reduced mod n and skipped when it is 0.
     """
     if n < 2:
         return False
+    if n >= _MR_LIMIT:
+        raise ValueError(f"is_prime is proven only below {_MR_LIMIT}, got {n}")
     for p in _MR_BASES:
         if n % p == 0:
             return n == p
@@ -188,18 +188,37 @@ def _split(m: int, out: dict[int, int], mult: int = 1) -> None:
     out[m] = out.get(m, 0) + mult
 
 
-# Large odd parts come back in two ways: the same modulus factored by the
-# order oracle and then by a decider (classify --method all, a library
-# caller checking one route against another), and p - 1 factored for every
-# residue whose order mod p or p**e is taken.
-_LARGE_CACHE_SIZE = 1 << 14
+_FACTOR_CACHE_SIZE = 16
 
 
-@lru_cache(maxsize=_LARGE_CACHE_SIZE)
-def _factorize_large(n: int) -> Factorization:
-    """factorize for n whose odd part is at least 2**16."""
+@lru_cache(maxsize=_FACTOR_CACHE_SIZE)
+def factorize(n: int) -> Factorization:
+    """Complete factorization of n, 1 <= n <= 2**63, deterministic.
+
+    A table read, one gcd with the small primes, then Miller-Rabin, a
+    perfect-square split and Pollard rho: the three tiers described at
+    _SPF_LIMIT.  Only the last _FACTOR_CACHE_SIZE results are cached: the
+    order oracle, the deciders and their witness orders ask for one modulus
+    a few calls apart, and a range of moduli never repeats one.
+    """
+    if n < 1:
+        raise ValueError(f"cannot factor non-positive {n}")
+    if n > FACTOR_INPUT_LIMIT:
+        raise ValueError(f"{n} exceeds the supported bound 2**63")
     beta = nu2(n)
     m = n >> beta
+    if m < _SPF_LIMIT:
+        odd = []
+        while m > 1:  # the smallest prime first, so odd stays ascending
+            p = _SPF[m] or m
+            m //= p
+            e = 1
+            while m % p == 0:
+                m //= p
+                e += 1
+            odd.append((p, e))
+        # tuple.__new__ skips the Python-level __new__ NamedTuple generates.
+        return _tuple_new(Factorization, (n, beta, tuple(odd)))
     fac: dict[int, int] = {}
     g = math.gcd(m, _TRIAL_PRODUCT)
     for p in _TRIAL_PRIMES:
@@ -216,42 +235,6 @@ def _factorize_large(n: int) -> Factorization:
     if m > 1:
         _split(m, fac)
     return Factorization(n, beta, tuple(sorted(fac.items())))
-
-
-def factorize(n: int) -> Factorization:
-    """Complete factorization of n, 1 <= n <= 2**63.
-
-    An odd part below 2**16 is read off the smallest-prime-factor table.
-    A larger one shares a gcd with the product of the odd primes below
-    2**10, and only the primes of that gcd are divided out.  A cofactor
-    below 2**20 is then 1 or prime; a larger one is a prime (deterministic
-    Miller-Rabin, bases by size), a perfect square (split once on its
-    integer root) or split by Pollard rho, so results are reproducible.
-
-    Only the larger odd parts are cached (_factorize_large).  A table read
-    takes well under a microsecond, less than a cache entry's hundreds of
-    bytes are worth, and a range of moduli, as enumerate walks, would fill
-    a cache with keys that never come back.
-    """
-    if n < 1:
-        raise ValueError(f"cannot factor non-positive {n}")
-    if n > FACTOR_INPUT_LIMIT:
-        raise ValueError(f"{n} exceeds the supported bound 2**63")
-    beta = nu2(n)
-    m = n >> beta
-    if m >= _SPF_LIMIT:
-        return _factorize_large(n)
-    odd = []
-    while m > 1:  # the smallest prime first, so odd stays ascending
-        p = _SPF[m] or m
-        m //= p
-        e = 1
-        while m % p == 0:
-            m //= p
-            e += 1
-        odd.append((p, e))
-    # tuple.__new__ skips the Python-level __new__ NamedTuple generates.
-    return _tuple_new(Factorization, (n, beta, tuple(odd)))
 
 
 @lru_cache(maxsize=1 << 16)
@@ -284,7 +267,11 @@ def _prime_power_order(x: int, p: int, e: int) -> int:
 def multiplicative_order(x: int, m: int) -> int:
     """Smallest t >= 1 with x**t = 1 (mod m).  Requires gcd(x, m) = 1.
 
-    Checks m and the gcd, then takes _order over factorize(m).
+    The lcm of the orders of x mod each maximal prime power p**e of m, read
+    off factorize(m), whose cache serves a modulus just factored by a
+    caller.  The prime-power orders are cached per (x mod p**e, p, e), so a
+    fixed x over a range of moduli computes the order mod each prime power
+    once.  The lcm is kept running, the 2-part first.
     """
     if m < 1:
         raise ValueError(f"modulus must be positive, got {m}")
@@ -292,17 +279,7 @@ def multiplicative_order(x: int, m: int) -> int:
     g = math.gcd(x, m)
     if g != 1:
         raise ValueError(f"order undefined: gcd({x}, {m}) = {g}")
-    return _order(x, factorize(m))
-
-
-def _order(x: int, f: Factorization) -> int:
-    """Order of x mod f.n, for x coprime to f.n.
-
-    The lcm of the orders of x mod each maximal prime power p**e of f.n.
-    Those are cached per (x mod p**e, p, e), so a fixed x over a range of
-    moduli computes the order mod each prime power once.  The lcm is kept
-    running, the 2-part first.
-    """
+    f = factorize(m)
     t = _prime_power_order(x % (1 << f.beta), 2, f.beta) if f.beta else 1
     for p, e in f.odd_part:
         t = math.lcm(t, _prime_power_order(x % p**e, p, e))

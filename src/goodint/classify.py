@@ -69,7 +69,7 @@ def _decide(pair: Pair, ell: int, method: str) -> Verdict:
     good = oddly or (two_ok and beta <= 1 and s is not None and s >= 1)
     witness = claim_ok = None
     if good:
-        t = arith._order(x, f)
+        t = arith.multiplicative_order(x, ell)
         witness = t // 2
         if corollary and d > 1:
             claim_ok = arith.nu2(t) == s

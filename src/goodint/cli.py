@@ -6,14 +6,16 @@ JSON object per line (schema_version 1), records sorted by (ell, a, b).
 
 Exit codes: 0 success, 1 usage error, 2 precondition violation,
 3 discrepancies found (audit --claim crossval only), 130 interrupted
-(SIGINT).
+(SIGINT), 143 terminated (SIGTERM).
 """
 
 from __future__ import annotations
 
 import argparse
 import os
+import signal
 import sys
+import threading
 from contextlib import closing
 from itertools import filterfalse, repeat
 from operator import attrgetter
@@ -33,6 +35,7 @@ EXIT_USAGE = 1
 EXIT_PRECONDITION = 2
 EXIT_DISCREPANCY = 3
 EXIT_INTERRUPTED = 130
+EXIT_TERMINATED = 143
 
 
 class _Parser(argparse.ArgumentParser):
@@ -270,8 +273,19 @@ def _build_parser() -> _Parser:
     return parser
 
 
+class _Terminated(BaseException):
+    """SIGTERM, raised like KeyboardInterrupt so that pools shut down."""
+
+
+def _raise_terminated(signum, frame):
+    raise _Terminated
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    # Only the main thread may set a handler, and only it runs one.
+    owner = threading.current_thread() is threading.main_thread()
+    previous = owner and signal.signal(signal.SIGTERM, _raise_terminated)
     try:
         return args.fn(args)
     except ValueError as exc:
@@ -282,6 +296,12 @@ def main(argv=None) -> int:
     except KeyboardInterrupt:
         print("goodint: interrupted", file=sys.stderr)
         return EXIT_INTERRUPTED
+    except _Terminated:
+        print("goodint: terminated", file=sys.stderr)
+        return EXIT_TERMINATED
+    finally:
+        if owner:
+            signal.signal(signal.SIGTERM, previous)
 
 
 if __name__ == "__main__":

@@ -69,6 +69,7 @@ def _ignore_sigint() -> None:
     # it.  A worker interrupted inside a queue operation can leave the pool's
     # shutdown waiting forever.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)  # not the handler forked from the CLI
 
 
 def parallel_map(fn, tasks, jobs: int):
@@ -78,8 +79,9 @@ def parallel_map(fn, tasks, jobs: int):
     them all at the first submit, and keeps at most twice that many tasks in
     flight, so finished results never pile up ahead of a slow consumer.
     Closing the generator early cancels the tasks not yet started.  Workers
-    ignore SIGINT, so Ctrl-C interrupts the parent alone.  The pool module
-    (and multiprocessing with it) is imported only when a pool is started.
+    ignore SIGINT, so Ctrl-C interrupts the parent alone, and die of SIGTERM.
+    The pool module (and multiprocessing with it) is imported only when a
+    pool is started.
     """
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
     if workers <= 1:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from goodint import arith, classify, cli, oracle
+from goodint import arith, audit, classify, cli, oracle
 from goodint.core import Pair
 from conftest import (EDGE_MODULI, EDGE_RESIDUES, factor_by_trial, negation_by_scan,
                       order_by_scan)
@@ -114,14 +114,33 @@ class TestFactorize:
 
 
 class TestFactorizeCache:
-    """Only odd parts past the table are cached: those are the ones asked for
-    again, while a range of moduli would fill a cache with one-off keys."""
+    """factorize keeps its last _FACTOR_CACHE_SIZE results: the routes that
+    decide one modulus ask for it within a few calls of each other, while a
+    range of moduli would fill a larger cache with one-off keys."""
 
     def test_enumerate_keeps_no_factorization(self, cold_caches, capsys):
         argv = ["enumerate", "--a", "3", "--b", "5", "--max", "10000", "--jobs", "1"]
         assert cli.main(argv) == 0
         assert capsys.readouterr().out.count("\n") == 10000
-        assert arith._factorize_large.cache_info().currsize == 0
+        assert arith.factorize.cache_info().currsize <= arith._FACTOR_CACHE_SIZE
+
+    def test_crossval_factors_each_modulus_once(self, cold_caches, monkeypatch):
+        # The oracle, is_good and is_good's witness order all read one
+        # factorization of ell.  (_prime_power_order also factors p - 1, and
+        # again for a prime power p**e, e > 1, whose p - 1 has left the cache.)
+        real, missed = arith.factorize, []
+
+        def counted(n):
+            misses = real.cache_info().misses
+            f = real(n)
+            if real.cache_info().misses > misses:
+                missed.append(n)
+            return f
+
+        monkeypatch.setattr(arith, "factorize", counted)
+        assert audit.crossval_sweep(1, 2, 300) == []
+        decided = range(3, 301, 2)  # pair (1, 2): ell > 2 and odd
+        assert sorted(n for n in missed if n in decided) == list(decided)
 
     def test_large_tier_is_factored_once(self, cold_caches, monkeypatch):
         # The 62-bit semiprime of the README table, decided by the oracle and
@@ -153,6 +172,15 @@ class TestIsPrime:
 
     def test_large_prime(self):
         assert arith.is_prime(2**61 - 1)
+
+    def test_refuses_past_proven_bound(self):
+        # psi_13 = 1287836182261 * 2575672364521 is a strong pseudoprime to
+        # all thirteen bases, so from it on no answer would be proven.  The
+        # largest prime below it is still answered.
+        assert arith.is_prime(3317044064679887385961813)
+        for n in (3317044064679887385961981, 2**82):
+            with pytest.raises(ValueError):
+                arith.is_prime(n)
 
     def test_small_base_set_boundary(self):
         # 4759123141 = 48781 * 97561 is a strong pseudoprime to 2, 7 and 61,

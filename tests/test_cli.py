@@ -8,6 +8,7 @@ import re
 import signal
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
@@ -248,6 +249,63 @@ class TestEnumerate:
         assert proc.returncode == 130
         assert b"Traceback" not in err
         assert err.strip().endswith(b"goodint: interrupted")
+
+    def test_sigterm_exits_143_and_leaves_no_worker(self):
+        # SIGTERM, as timeout(1) sends it, reaches the parent alone; it must
+        # shut its pool down, or the workers outlive it holding stderr open.
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "goodint", "enumerate", "--a", "3", "--b", "5",
+             "--max", "3000000", "--jobs", "2"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, cwd=PKG_ROOT,
+            start_new_session=True,
+        )
+        try:
+            assert proc.stdout.read(1) == b"{"
+            with open(f"/proc/{proc.pid}/task/{proc.pid}/children") as fh:
+                workers = [int(pid) for pid in fh.read().split()]
+            os.kill(proc.pid, signal.SIGTERM)
+            _, err = proc.communicate(timeout=20)
+        finally:
+            # The group outlives a parent that dies with workers still running.
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+        assert proc.returncode == 143
+        assert err == b"goodint: terminated\n"
+        assert len(workers) == 2
+        deadline = time.monotonic() + 2
+        while any(os.path.exists(f"/proc/{pid}") for pid in workers):
+            assert time.monotonic() < deadline, "a worker outlived the parent"
+            time.sleep(0.05)
+
+    def test_sigterm_handled_only_while_main_runs(self, monkeypatch):
+        # An in-process caller, such as a test or a benchmark harness, gets
+        # its own handler back.
+        def mine(signum, frame):
+            pass
+
+        seen, real = [], classify.is_good
+
+        def spy(pair, ell):
+            seen.append(signal.getsignal(signal.SIGTERM))
+            return real(pair, ell)
+
+        monkeypatch.setattr(classify, "is_good", spy)
+        argv = ["classify", "--a", "1", "--b", "2", "--ell", "9", "--method", "theorem"]
+        previous = signal.signal(signal.SIGTERM, mine)
+        try:
+            assert run_main(argv)[0] == 0
+            assert signal.getsignal(signal.SIGTERM) is mine
+            # Only the main thread may set a handler: another thread runs
+            # main without one.
+            codes = []
+            worker = threading.Thread(target=lambda: codes.append(run_main(argv)[0]))
+            worker.start()
+            worker.join(timeout=20)
+            assert codes == [0] and signal.getsignal(signal.SIGTERM) is mine
+        finally:
+            signal.signal(signal.SIGTERM, previous)
+        assert len(seen) == 2 and seen[0] not in (mine, signal.SIG_DFL) and seen[1] is mine
 
 
 def enumerate_expected(a, b, max_ell, flt):

@@ -147,5 +147,6 @@ def lru_caches() -> dict[str, object]:
 def test_every_cache_is_bounded():
     caches = lru_caches()
     assert "goodint.arith._prime_power_order" in caches
+    assert "goodint.arith.factorize" in caches
     unbounded = [name for name, obj in caches.items() if obj.cache_parameters()["maxsize"] is None]
     assert unbounded == []
