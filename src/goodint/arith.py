@@ -241,13 +241,20 @@ def factorize(n: int) -> Factorization:
 def _prime_power_order(x: int, p: int, e: int) -> int:
     """Order of x mod p**e, for x in [0, p**e) coprime to p.
 
-    First the order t mod p: start from p - 1, which it divides, and peel
-    the primes of factorize(p - 1), so it never scans linearly.  The order
-    mod p**e is t * p**j for some j < e, so when e > 1, t is multiplied by
-    p until x**t = 1 (mod p**e).  p is known here, so p**(e-1) * (p-1) is
-    never factored whole, which for a large p would send the cofactor
-    p * (p-1) / 2**k to Pollard rho only to find p again.
+    For e == 1, peel the primes of factorize(p - 1) off p - 1, which the
+    order divides.  For e > 1, multiply t, the order mod p from this cache,
+    by p until x**t = 1 (mod p**e).  So p**(e-1) * (p-1) is never factored
+    whole, which for a large p would send the cofactor p * (p-1) / 2**k to
+    Pollard rho only to find p again.
     """
+    if e > 1:
+        t = _prime_power_order(x % p, p, 1)
+        pp = p**e
+        y = pow(x, t, pp)
+        while y != 1:
+            y = pow(y, p, pp)
+            t *= p
+        return t
     t = p - 1
     for q, k in factorize(t).prime_items():
         for _ in range(k):
@@ -255,12 +262,6 @@ def _prime_power_order(x: int, p: int, e: int) -> int:
                 t //= q
             else:
                 break
-    if e > 1:
-        pp = p**e
-        y = pow(x, t, pp)
-        while y != 1:
-            y = pow(y, p, pp)
-            t *= p
     return t
 
 
@@ -270,8 +271,7 @@ def multiplicative_order(x: int, m: int) -> int:
     The lcm of the orders of x mod each maximal prime power p**e of m, read
     off factorize(m), whose cache serves a modulus just factored by a
     caller.  The prime-power orders are cached per (x mod p**e, p, e), so a
-    fixed x over a range of moduli computes the order mod each prime power
-    once.  The lcm is kept running, the 2-part first.
+    fixed x over a range of moduli computes each of them once.
     """
     if m < 1:
         raise ValueError(f"modulus must be positive, got {m}")
@@ -279,9 +279,8 @@ def multiplicative_order(x: int, m: int) -> int:
     g = math.gcd(x, m)
     if g != 1:
         raise ValueError(f"order undefined: gcd({x}, {m}) = {g}")
-    f = factorize(m)
-    t = _prime_power_order(x % (1 << f.beta), 2, f.beta) if f.beta else 1
-    for p, e in f.odd_part:
+    t = 1
+    for p, e in factorize(m).prime_items():
         t = math.lcm(t, _prime_power_order(x % p**e, p, e))
     return t
 

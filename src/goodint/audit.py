@@ -62,17 +62,17 @@ def _finding(claim_id, a, b, modulus, x, literal, oracle_v, note=""):
 # ---------------------------------------------------------------------------
 
 def primitive_root(pp: int) -> int:
-    """Smallest primitive root of the odd prime power pp."""
+    """Smallest primitive root g of the odd prime power pp, certified by pow
+    alone, g**(n/q) != 1 for each prime q | n = phi(pp): no order kernel."""
     f = arith.factorize(pp)
     if f.beta or len(f.odd_part) != 1:
         raise ValueError(f"{pp} is not an odd prime power")
-    p, e = f.odd_part[0]
-    n = p ** (e - 1) * (p - 1)
-    g = 2
-    while True:
-        if g % p and arith._prime_power_order(g, p, e) == n:
+    p = f.odd_part[0][0]
+    n = pp - pp // p
+    qs = [q for q, _ in arith.factorize(n).prime_items()]
+    for g in range(2, pp):
+        if g % p and all(pow(g, n // q, pp) != 1 for q in qs):
             return g
-        g += 1
 
 
 def order_table(pp: int) -> np.ndarray:

@@ -180,8 +180,8 @@ def _cmd_order(args) -> int:
     x, m = args.x, args.mod
     order = arith.multiplicative_order(x, m)
     # Equal to json.dumps of the record with separators (",", ":").
-    components = ",".join(f"[{p**e},{arith._prime_power_order(x % p**e, p, e)}]"
-                          for p, e in arith.factorize(m).prime_items())
+    components = ",".join(f"[{pp},{arith.multiplicative_order(x, pp)}]"
+                          for pp in arith.factorize(m).prime_powers())
     sys.stdout.write(f'{{"schema_version":{SCHEMA_VERSION},"kind":"order","x":{x % m},'
                      f'"modulus":{m},"order":{order},"components":[{components}]}}\n')
     return EXIT_OK

@@ -8,12 +8,16 @@ run_main drives the CLI in process, through cli.main with stdout and stderr
 captured; records parses its stdout.  A test starts a real `python -m
 goodint` process only where the process itself is what it checks: signals,
 a closed pipe, a fresh interpreter or the entry point.
+
+Every test runs under a TEST_TIME_LIMIT_S wall-clock limit, so one that
+hangs fails by name rather than stalling the whole run.
 """
 
 import contextlib
 import io
 import json
 import math
+import signal
 
 import pytest
 
@@ -104,6 +108,44 @@ def factor_by_trial(n: int) -> dict[int, int]:
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return out
+
+
+# Far above the slowest test (about 7 s); subprocess tests keep their own,
+# shorter timeouts.
+TEST_TIME_LIMIT_S = 60
+
+
+class TimeLimitExceeded(BaseException):
+    """A test ran past TEST_TIME_LIMIT_S.  A BaseException, so neither an
+    `except Exception` in the code under test nor hypothesis's shrinking
+    catches it and runs the hang again."""
+
+
+@pytest.fixture(autouse=True)
+def time_limit(request):
+    """Fail the running test once it has run TEST_TIME_LIMIT_S seconds.
+
+    A SIGALRM from ITIMER_REAL, handled in the main thread; the previous
+    handler is restored after the test.
+    """
+    def expire(signum, frame):
+        raise TimeLimitExceeded(f"{request.node.nodeid} ran past {TEST_TIME_LIMIT_S} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, TEST_TIME_LIMIT_S)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def refuse_work(monkeypatch, module, name):
+    """Make module.name raise, so a run that reaches it fails the test."""
+    def refuse(*args):
+        raise AssertionError(f"{module.__name__}.{name} ran")
+
+    monkeypatch.setattr(module, name, refuse)
 
 
 @pytest.fixture

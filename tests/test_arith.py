@@ -51,6 +51,7 @@ class TestFactorize:
     @example(2**40 * 65521)
     @example(2**16 + 1)  # past the table: trial division
     @example(257**2)
+    @example(1031 * 1223)  # rho's walk with c = 1 collapses; c = 2 splits it
     def test_matches_trial_division(self, n):
         f = arith.factorize(n)
         expected = factor_by_trial(n)
@@ -126,8 +127,9 @@ class TestFactorizeCache:
 
     def test_crossval_factors_each_modulus_once(self, cold_caches, monkeypatch):
         # The oracle, is_good and is_good's witness order all read one
-        # factorization of ell.  (_prime_power_order also factors p - 1, and
-        # again for a prime power p**e, e > 1, whose p - 1 has left the cache.)
+        # factorization of ell.  _prime_power_order also factors p - 1, but
+        # only for e == 1: a prime power p**e lifts its cached order mod p.
+        # So no argument is factored twice.
         real, missed = arith.factorize, []
 
         def counted(n):
@@ -141,6 +143,7 @@ class TestFactorizeCache:
         assert audit.crossval_sweep(1, 2, 300) == []
         decided = range(3, 301, 2)  # pair (1, 2): ell > 2 and odd
         assert sorted(n for n in missed if n in decided) == list(decided)
+        assert len(missed) == len(set(missed))
 
     def test_large_tier_is_factored_once(self, cold_caches, monkeypatch):
         # The 62-bit semiprime of the README table, decided by the oracle and

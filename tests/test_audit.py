@@ -11,7 +11,7 @@ import pytest
 
 from goodint import arith, audit, classify, core, oracle
 from goodint.core import Pair
-from conftest import factor_by_trial, negation_by_scan, order_by_scan
+from conftest import factor_by_trial, negation_by_scan, order_by_scan, refuse_work
 
 
 class TestOrderTables:
@@ -97,6 +97,17 @@ def negation_rows(d_max):
 
 
 class TestNegationFromEvenOrder:
+    def test_jitman_eq2_shares_no_order_logic(self, monkeypatch):
+        # The order tables are this scan's ground truth, and their primitive
+        # roots are certified by pow: the scan must answer with the order
+        # kernels the deciders use refusing to run.
+        refuse_work(monkeypatch, arith, "_prime_power_order")
+        refuse_work(monkeypatch, arith, "multiplicative_order")
+        for pp in (3, 9, 25, 343, 1331):
+            p = arith.factorize(pp).odd_part[0][0]
+            assert audit.order_table(pp)[audit.primitive_root(pp)] == pp - pp // p
+        assert (15, 11) in {(d, x) for d, x, *_ in negation_rows(201)}
+
     def test_contains_11_mod_15(self):
         rows = negation_rows(15)
         assert any(d == 15 and x == 11 for d, x, *_ in rows)

@@ -17,17 +17,9 @@ from hypothesis import strategies as st
 
 from goodint import arith, audit, classify, cli, oracle
 from goodint.core import Pair, Verdict
-from conftest import order_by_scan, records, run_main
+from conftest import order_by_scan, records, refuse_work, run_main
 
 PKG_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-
-
-def refuse_work(monkeypatch, module, name):
-    """Make module.name raise, so a run that reaches it fails the test."""
-    def refuse(*args):
-        raise AssertionError(f"{module.__name__}.{name} ran")
-
-    monkeypatch.setattr(module, name, refuse)
 
 
 class TestEntryPoint:
@@ -243,9 +235,10 @@ class TestEnumerate:
             os.killpg(proc.pid, signal.SIGINT)
             _, err = proc.communicate(timeout=20)
         finally:
-            if proc.poll() is None:
+            # The group outlives a parent that dies with workers still running.
+            with contextlib.suppress(ProcessLookupError):
                 os.killpg(proc.pid, signal.SIGKILL)
-                proc.wait()
+            proc.wait()
         assert proc.returncode == 130
         assert b"Traceback" not in err
         assert err.strip().endswith(b"goodint: interrupted")
