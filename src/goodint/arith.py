@@ -96,21 +96,19 @@ def nu2(n: int) -> int:
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin, exact below psi_13 = 3317044064679887385961981.
 
-    After a screen by the primes up to 41, the bases depend on n's size:
-    (2, 7, 61) below 4759123141 (Jaeschke, "On strong pseudoprimes to
-    several bases", Math. Comp. 1993), Sinclair's seven bases (2011) below
-    2**64, and the primes up to 41 below psi_13 = 1287836182261 *
-    2575672364521, the least strong pseudoprime to all thirteen (Sorenson
-    and Webster, Math. Comp. 2017); from psi_13 on, n is refused with
-    ValueError.  Each base is reduced mod n and skipped when it is 0.
+    The bases depend on n's size: (2, 7, 61) below 4759123141 (Jaeschke,
+    "On strong pseudoprimes to several bases", Math. Comp. 1993),
+    Sinclair's seven bases (2011) below 2**64, and the primes up to 41
+    below psi_13 = 1287836182261 * 2575672364521, the least strong
+    pseudoprime to all thirteen (Sorenson and Webster, Math. Comp. 2017);
+    from psi_13 on, n is refused with ValueError.  Each base is reduced mod
+    n and skipped when it is 0, which only a prime n dividing a base makes
+    happen.  An even n > 2 fails base 2, which every set holds.
     """
     if n < 2:
         return False
     if n >= _MR_LIMIT:
         raise ValueError(f"is_prime is proven only below {_MR_LIMIT}, got {n}")
-    for p in _MR_BASES:
-        if n % p == 0:
-            return n == p
     if n < _MR_LIMIT_32:
         bases = _MR_BASES_32
     elif n < 1 << 64:
@@ -135,13 +133,33 @@ def is_prime(n: int) -> bool:
     return True
 
 
+# Steps Pollard rho may walk on one n over all its polynomials: 4 times the
+# most that seeded 40- to 63-bit inputs were measured to need (2**19, in
+# rounds up to r = 2**17), and about a second on a 61-bit prime.
+_RHO_STEP_LIMIT = 2**21
+
+
+class RhoGaveUp(RuntimeError):
+    """Pollard rho walked _RHO_STEP_LIMIT steps without splitting n."""
+
+
 def _pollard_rho(n: int) -> int:
-    """Some nontrivial factor of composite odd n (Brent's cycle variant)."""
+    """Some nontrivial factor of composite odd n (Brent's cycle variant).
+
+    A round of length r walks at most 2r steps; the round that would take
+    the walk past _RHO_STEP_LIMIT raises RhoGaveUp instead.  A prime n,
+    which only a wrong is_prime sends here, always does: its walks only
+    ever collapse, so the polynomials would be retried for ever.
+    """
     c = 1
+    steps = 0
     while True:
         y, r, q, g = 2, 1, 1, 1
         x = ys = y
         while g == 1:
+            steps += 2 * r
+            if steps > _RHO_STEP_LIMIT:
+                raise RhoGaveUp(f"Pollard rho found no factor of {n} in {_RHO_STEP_LIMIT} steps")
             x = y
             for _ in range(r):
                 y = (y * y + c) % n

@@ -46,13 +46,13 @@ def brute_force_verdict(pair: Pair, ell: int) -> Verdict:
 
     Records the smallest witness overall and the smallest odd and even
     witnesses, updating running powers incrementally.  The scan stops early
-    once both parities are found, or at the first k that is no hit with
-    a**k = b**k = 1 (mod ell).  If k is even, the pair of powers repeats with
-    an even period from there, so no new witness or parity can appear.  If k
-    is odd, ell > 2 (1 + 1 is a hit mod 1 and 2) and the order of a * b**-1
-    divides k, so -1 is no power of it and there is no witness at all.  That
-    k is at most lambda(ell) < 2*ell, so the bound only matters when
-    gcd(ab, ell) > 1.
+    only at the first k that is no hit with a**k = b**k = 1 (mod ell).  If
+    k is even, the pair of powers repeats with an even period from there,
+    so no new witness or parity can appear.  If k is odd, ell > 2 (1 + 1 is
+    a hit mod 1 and 2) and the order of a * b**-1 divides k, so -1 is no
+    power of it and there is no witness at all.  That k is at most
+    lambda(ell) < 2*ell, so the bound only matters when gcd(ab, ell) > 1,
+    or when ell <= 2, where every k is a hit.
     """
     if ell < 1:
         raise ValueError(f"ell must be positive, got {ell}")
@@ -67,8 +67,6 @@ def brute_force_verdict(pair: Pair, ell: int) -> Verdict:
                     w_odd = k
             elif not w_even:
                 w_even = k
-            if w_odd and w_even:
-                break
         elif pa == pb == 1:
             break
         pa = pa * a % ell

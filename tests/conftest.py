@@ -149,16 +149,6 @@ def refuse_work(monkeypatch, module, name):
 
 
 @pytest.fixture
-def scan_order():
-    return order_by_scan
-
-
-@pytest.fixture
-def scan_negation():
-    return negation_by_scan
-
-
-@pytest.fixture
 def cold_caches():
     """Empty every lru_cache in arith, so a test times or probes uncached work.
 

@@ -14,7 +14,6 @@ import numpy as np
 
 from goodint import arith, audit, oracle
 from goodint.core import Pair
-from conftest import order_by_scan
 
 PKG_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 

@@ -164,8 +164,17 @@ class TestFactorizeCache:
 
 class TestIsPrime:
     def test_small_table(self):
-        primes_below_100 = {p for p in range(100) if factor_by_trial(p) == {p: 1}} - {0, 1}
-        assert {p for p in range(100) if arith.is_prime(p)} == primes_below_100
+        # Every n below 2**16 against a sieve of Eratosthenes: small primes,
+        # the bases 2, 7 and 61 among them, and their multiples get no
+        # trial-division answer, only Miller-Rabin's.
+        limit = 2**16
+        sieve = bytearray([1]) * limit
+        sieve[:2] = b"\0\0"
+        for p in range(2, math.isqrt(limit) + 1):
+            if sieve[p]:
+                sieve[p * p::p] = bytes(len(range(p * p, limit, p)))
+        for n in range(limit):
+            assert arith.is_prime(n) == bool(sieve[n]), n
 
     def test_strong_pseudoprime_composites(self):
         # Each fools a small base set; the last, psi_12 = 399165290221 *
@@ -196,6 +205,28 @@ class TestIsPrime:
             assert x == 1 or any(pow(x, 2**i, n) == n - 1 for i in range(s))
         assert not arith.is_prime(n)
         assert arith.is_prime(61) and arith.is_prime(4759123129) and arith.is_prime(4759123151)
+
+
+class TestPollardRhoBudget:
+    """Rho walks at most _RHO_STEP_LIMIT steps on one input, so a prime,
+    which only a wrong is_prime sends there, raises in bounded time rather
+    than retrying polynomials for ever.  The error is no ValueError, which
+    main reports as a refused input (exit 2)."""
+
+    @pytest.mark.parametrize("p", [1000003, 2**31 - 1, 2**61 - 1])
+    def test_prime_gives_up_in_bounded_time(self, p):
+        start = time.perf_counter()
+        with pytest.raises(arith.RhoGaveUp):
+            arith._pollard_rho(p)
+        assert time.perf_counter() - start < 5
+
+    def test_wrong_is_prime_fails_factorize(self, cold_caches, monkeypatch):
+        monkeypatch.setattr(arith, "is_prime", lambda n: False)
+        start = time.perf_counter()
+        with pytest.raises(arith.RhoGaveUp):
+            arith.factorize(2**31 - 1)
+        assert time.perf_counter() - start < 5
+        assert not issubclass(arith.RhoGaveUp, ValueError)
 
 
 class TestNu2:

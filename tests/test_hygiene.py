@@ -1,6 +1,6 @@
-"""Every name a goodint module imports is used in that module, every name it
-defines is read somewhere in goodint, and every cache a goodint module holds
-is bounded."""
+"""Every name a goodint module or a test module imports is used in that
+module, every name a goodint module defines is read somewhere in goodint,
+and every cache a goodint module holds is bounded."""
 
 import ast
 import glob
@@ -12,6 +12,7 @@ import pytest
 
 PKG_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 MODULES = sorted(glob.glob(os.path.join(PKG_ROOT, "src", "goodint", "*.py")))
+TEST_MODULES = sorted(glob.glob(os.path.join(PKG_ROOT, "tests", "*.py")))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -43,9 +44,10 @@ def test_checker_finds_an_unused_import():
               "def f(n: Iterator) -> str:\n    return os.path.sep\n")
     assert unused_imports(source) == ["NT", "math"]
     assert any(path.endswith("cli.py") for path in MODULES)
+    assert any(path.endswith("conftest.py") for path in TEST_MODULES)
 
 
-@pytest.mark.parametrize("path", MODULES, ids=os.path.basename)
+@pytest.mark.parametrize("path", MODULES + TEST_MODULES, ids=os.path.basename)
 def test_no_unused_import(path):
     with open(path, encoding="utf-8") as fh:
         assert unused_imports(fh.read()) == [], path
