@@ -286,10 +286,13 @@ def _prime_power_order(x: int, p: int, e: int) -> int:
 def multiplicative_order(x: int, m: int) -> int:
     """Smallest t >= 1 with x**t = 1 (mod m).  Requires gcd(x, m) = 1.
 
-    The lcm of the orders of x mod each maximal prime power p**e of m, read
-    off factorize(m), whose cache serves a modulus just factored by a
-    caller.  The prime-power orders are cached per (x mod p**e, p, e), so a
-    fixed x over a range of moduli computes each of them once.
+    The lcm of the orders of x mod each maximal prime power p**e of m.  An
+    odd part of m below _SPF_LIMIT is split by walking _SPF, with no
+    Factorization built.  A larger one is read off factorize(m), whose
+    cache serves a modulus just factored by a caller, as is an m above
+    2**63, which factorize refuses.  The prime-power orders are cached per
+    (x mod p**e, p, e), so a fixed x over a range of moduli computes each
+    of them once.
     """
     if m < 1:
         raise ValueError(f"modulus must be positive, got {m}")
@@ -297,9 +300,23 @@ def multiplicative_order(x: int, m: int) -> int:
     g = math.gcd(x, m)
     if g != 1:
         raise ValueError(f"order undefined: gcd({x}, {m}) = {g}")
-    t = 1
-    for p, e in factorize(m).prime_items():
-        t = math.lcm(t, _prime_power_order(x % p**e, p, e))
+    beta = (m & -m).bit_length() - 1
+    r = m >> beta
+    if r >= _SPF_LIMIT or m > FACTOR_INPUT_LIMIT:
+        t = 1
+        for p, e in factorize(m).prime_items():
+            t = math.lcm(t, _prime_power_order(x % p**e, p, e))
+        return t
+    t = _prime_power_order(x % (1 << beta), 2, beta) if beta else 1
+    while r > 1:  # as in factorize's first tier
+        p = _SPF[r] or r
+        r //= p
+        pe, e = p, 1
+        while r % p == 0:
+            r //= p
+            pe *= p
+            e += 1
+        t = math.lcm(t, _prime_power_order(x % pe, p, e))
     return t
 
 
@@ -307,9 +324,9 @@ def smallest_negation_exponent(x: int, m: int) -> int | None:
     """Smallest k >= 1 with x**k = -1 (mod m), or None when no k works.
 
     -1 can only sit in the cyclic group <x> as its unique element of order
-    2, so the candidate is half the order of x, read from m's own
-    factorization by multiplicative_order (which also rejects m < 1 and
-    gcd(x, m) > 1); moduli 1 and 2 (where -1 = 1) answer 1.
+    2, so the candidate is half the order of x, from multiplicative_order
+    (which also rejects m < 1 and gcd(x, m) > 1); moduli 1 and 2 (where
+    -1 = 1) answer 1.
     """
     t = multiplicative_order(x, m)
     if m <= 2:

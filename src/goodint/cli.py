@@ -5,8 +5,9 @@ multiplicative order, and run the counterexample audits.  Output is one
 JSON object per line (schema_version 1), records sorted by (ell, a, b).
 
 Exit codes: 0 success, 1 usage error, 2 precondition violation,
-3 discrepancies found (audit --claim crossval only), 130 interrupted
-(SIGINT), 143 terminated (SIGTERM).
+3 discrepancies found (audit --claim crossval only), 70 internal
+failure (Pollard rho gave up, or stdout could not be written), 130
+interrupted (SIGINT), 143 terminated (SIGTERM).
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_PRECONDITION = 2
 EXIT_DISCREPANCY = 3
+EXIT_SOFTWARE = 70  # EX_SOFTWARE of sysexits.h
 EXIT_INTERRUPTED = 130
 EXIT_TERMINATED = 143
 
@@ -167,8 +169,7 @@ def _cmd_enumerate(args) -> int:
     # closing(): on a closed pipe, drop the chunks not yet started.
     with closing(parallel_map(_enumerate_chunk, tasks, args.jobs)) as chunks:
         for chunk in chunks:
-            for line in chunk:
-                sys.stdout.write(line)
+            sys.stdout.write("".join(chunk))
     return EXIT_OK
 
 
@@ -287,12 +288,17 @@ def main(argv=None) -> int:
     owner = threading.current_thread() is threading.main_thread()
     previous = owner and signal.signal(signal.SIGTERM, _raise_terminated)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # so that a failed write is caught below
+        return code
     except ValueError as exc:
         print(f"goodint: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
     except BrokenPipeError:
         return EXIT_OK
+    except (arith.RhoGaveUp, OSError) as exc:
+        print(f"goodint: {exc}", file=sys.stderr)
+        return EXIT_SOFTWARE
     except KeyboardInterrupt:
         print("goodint: interrupted", file=sys.stderr)
         return EXIT_INTERRUPTED

@@ -77,7 +77,8 @@ def brute_force_verdict(pair: Pair, ell: int) -> Verdict:
 def _verdict(ell: int, w_odd: int, w_even: int) -> Verdict:
     """Brute-force verdict from the smallest odd and even witnesses, 0 for none."""
     witness = min(w_odd, w_even) if w_odd and w_even else (w_odd or w_even or None)
-    return Verdict(ell, witness is not None, w_odd > 0, w_even > 0, witness, "brute_force")
+    return _new(Verdict, (ell, witness is not None, w_odd > 0, w_even > 0, witness,
+                          "brute_force", None, None))
 
 
 # Exponents per block of brute_force_sweep, at most: a power of two, as its

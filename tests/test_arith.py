@@ -125,11 +125,29 @@ class TestFactorizeCache:
         assert capsys.readouterr().out.count("\n") == 10000
         assert arith.factorize.cache_info().currsize <= arith._FACTOR_CACHE_SIZE
 
+    def test_enumerate_factors_only_p_minus_one(self, cold_caches, monkeypatch, capsys):
+        # Below 2**16 the oracle's orders split ell off _SPF, so factorize
+        # sees only the p - 1 that _prime_power_order peels, once per prime p.
+        real, calls = arith.factorize, []
+
+        def counted(n):
+            calls.append(n)
+            return real(n)
+
+        monkeypatch.setattr(arith, "factorize", counted)
+        argv = ["enumerate", "--a", "123457", "--b", "654321", "--max", "10000", "--jobs", "1"]
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out.count("\n") == 10000
+        assert len(calls) <= sum(map(arith.is_prime, range(10**4)))
+        assert len(calls) == len(set(calls))
+        assert all(arith.is_prime(n + 1) for n in calls)
+
     def test_crossval_factors_each_modulus_once(self, cold_caches, monkeypatch):
-        # The oracle, is_good and is_good's witness order all read one
-        # factorization of ell.  _prime_power_order also factors p - 1, but
-        # only for e == 1: a prime power p**e lifts its cached order mod p.
-        # So no argument is factored twice.
+        # is_good reads one factorization of ell; the oracle and is_good's
+        # witness order split an ell below 2**16 off _SPF instead, with no
+        # factorize call.  _prime_power_order also factors p - 1, but only
+        # for e == 1: a prime power p**e lifts its cached order mod p.  So
+        # no argument is factored twice.
         real, missed = arith.factorize, []
 
         def counted(n):
@@ -297,6 +315,31 @@ class TestMultiplicativeOrder:
             assert math.prod(p**e for p, e in ft.prime_items()) == t
             for q, _ in ft.prime_items():
                 assert pow(x, t // q, m) != 1 % m
+
+    # Odd parts on either side of _SPF_LIMIT, prime and composite.
+    @given(st.sampled_from((2**16 - 1, 65521, 2**16 + 1, 251**2, 257**2)),
+           st.integers(0, 47), st.integers(-2**70, -1) | st.integers(2**63, 2**70))
+    @settings(max_examples=300)
+    def test_table_and_factorize_paths_agree(self, r, beta, x):
+        # Whichever way m is split, the order is the lcm of the prime-power
+        # orders over factorize(m).
+        m, x = r << beta, x | 1
+        if math.gcd(x, m) != 1:
+            return
+        if m > arith.FACTOR_INPUT_LIMIT:
+            with pytest.raises(ValueError, match="exceeds the supported bound"):
+                arith.multiplicative_order(x, m)
+            return
+        t = 1
+        for p, e in arith.factorize(m).prime_items():
+            t = math.lcm(t, arith._prime_power_order(x % p**e, p, e))
+        assert arith.multiplicative_order(x, m) == t
+
+    def test_every_small_modulus_matches_scan(self):
+        for m in range(1, 2000):
+            for x in (-2, 3, 2**65 + 7):
+                if math.gcd(x, m) == 1:
+                    assert arith.multiplicative_order(x, m) == order_by_scan(x, m), (x, m)
 
     def test_two_power_case_table(self):
         # beta = 1: trivial group; beta >= 2 with x = -1: order exactly 2

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -207,6 +208,20 @@ class TestEnumerate:
         four = run_main([*argv, "--jobs", "4"])
         assert one[0] == four[0] == 0
         assert one[1] == four[1]
+
+    # The output's sha256, pinned, so that no change to the order kernel or
+    # to the writer moves a byte.
+    @pytest.mark.parametrize("argv, digest", [
+        (["enumerate", "--a", "3", "--b", "5", "--max", "5000", "--jobs", "1"],
+         "a59363363a4ef38209c54f13ef9c7657f0375ce3446fc4ffc6531977321c505b"),
+        (["enumerate", "--a", "-7", "--b", "4", "--max", "3000", "--filter", "good",
+          "--jobs", "1"],
+         "6c0af8fbbe5c1d6cddb0d5ca29b10b2d2665acfb937140ad2be099e1a0e89fa7"),
+    ])
+    def test_pinned_bytes(self, argv, digest):
+        code, out, err = run_main(argv)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_closed_stdout_stops_workers(self):
         t0 = time.monotonic()
@@ -551,6 +566,36 @@ class TestClosedStdout:
         assert err == b""
 
 
+class TestRuntimeFailure:
+    """A failure that no input check could foresee exits 70 (EX_SOFTWARE)
+    with one stderr line: Pollard rho giving up, or a stdout that cannot be
+    written."""
+
+    def test_rho_giving_up_exits_70(self, cold_caches, monkeypatch):
+        # A wrong "composite" answer sends the prime 2**31 - 1 to rho.
+        monkeypatch.setattr(arith, "is_prime", lambda n: False)
+        code, out, err = run_main(["classify", "--a", "3", "--b", "5", "--ell", "2147483647",
+                                   "--method", "oracle"])
+        assert (code, out) == (70, "")
+        (line,) = err.splitlines()
+        assert line.startswith("goodint: Pollard rho found no factor of 2147483647")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("argv", [
+        ("classify", "--a", "3", "--b", "5", "--ell", "7"),
+        ("enumerate", "--a", "3", "--b", "5", "--max", "3000", "--jobs", "1"),
+    ])
+    def test_full_disk_exits_70(self, argv):
+        # Every write to /dev/full fails with ENOSPC.  main flushes stdout
+        # itself, so the interpreter's flush at exit adds no second report
+        # and no exit code 120.
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run([sys.executable, "-m", "goodint", *argv], stdout=full,
+                                  stderr=subprocess.PIPE, text=True, cwd=PKG_ROOT, timeout=60)
+        assert proc.returncode == 70
+        assert proc.stderr == "goodint: [Errno 28] No space left on device\n"
+
+
 # cli.main in a fresh interpreter with the benchmark's span tracer wrapping
 # every public function of the five layers, as perfbench/child.py does.
 # argv: src directory, perfbench directory, CLI argv as JSON.  stdout is
@@ -664,7 +709,11 @@ def check_contract(argv, code, out, err):
     """The CLI's promises for any argv: a known exit code, a refusal that
     writes nothing to stdout and one message to stderr, and on success only
     schema_version 1 records of the subcommand's kind, keys in schema order."""
-    assert code in (0, 1, 2, 3), (argv, code, err)
+    assert code in (0, 1, 2, 3, 70), (argv, code, err)
+    if code == 70:  # a runtime failure, after whatever was written before it
+        (line,) = err.splitlines()
+        assert line.startswith("goodint: "), (argv, err)
+        return
     if code in (1, 2):
         assert out == "", argv
         lines = err.splitlines()

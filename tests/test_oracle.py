@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from goodint import arith, oracle
+from goodint import arith, classify, oracle
 from goodint.core import Pair, Verdict
 from conftest import witness_by_scan
 
@@ -235,12 +235,24 @@ class TestSweep:
 
 
 class TestOracleVerdictRecord:
-    # order_oracle_verdict builds its Verdicts with tuple.__new__, which
-    # checks neither the field count nor the defaults of the optional fields.
+    # The oracle, the deciders and brute force build their Verdicts with
+    # tuple.__new__, which checks neither the field count nor the defaults
+    # of the optional fields.  Only the corollary sets those.
     @pytest.mark.parametrize("a,b", [(3, 5), (1, -1), (-7, 4), (2**70 + 1, 3)])
     def test_tuple_built_verdicts_are_whole(self, a, b):
         pair = Pair(a, b)
-        for ell in range(1, 301):
-            v = oracle.order_oracle_verdict(pair, ell)
+        routes = [oracle.order_oracle_verdict, classify.is_good, oracle.brute_force_verdict]
+        if pair.ab_odd:
+            routes.append(classify.is_good_via_sum_valuation)
+        built = [route(pair, ell) for route in routes for ell in range(1, 301)]
+        built += oracle.brute_force_sweep(pair, 300)
+        assert len(built) == 300 * (len(routes) + 1)
+        for v in built:
             assert type(v) is Verdict and len(v) == 8
-            assert v == Verdict(*v[:6]) and v.method == "oracle"
+            if v.method == "corollary":
+                assert v.s_val2 is None or type(v.s_val2) is int
+                assert v.order_claim_ok in (None, True, False)
+            else:
+                assert v == Verdict(*v[:6])
+        methods = {"oracle", "theorem", "brute_force"} | ({"corollary"} if pair.ab_odd else set())
+        assert {v.method for v in built} == methods
