@@ -51,8 +51,6 @@ _SPF = _spf_table()
 _MR_BASES_32 = (2, 7, 61)
 _MR_LIMIT_32 = 4759123141
 _MR_BASES_64 = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_MR_LIMIT = 3317044064679887385961981
 
 
 class Factorization(NamedTuple):
@@ -94,27 +92,21 @@ def nu2(n: int) -> int:
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, exact below psi_13 = 3317044064679887385961981.
+    """Deterministic Miller-Rabin for n <= 2**63, the bound factorize enforces.
 
-    The bases depend on n's size: (2, 7, 61) below 4759123141 (Jaeschke,
-    "On strong pseudoprimes to several bases", Math. Comp. 1993),
-    Sinclair's seven bases (2011) below 2**64, and the primes up to 41
-    below psi_13 = 1287836182261 * 2575672364521, the least strong
-    pseudoprime to all thirteen (Sorenson and Webster, Math. Comp. 2017);
-    from psi_13 on, n is refused with ValueError.  Each base is reduced mod
-    n and skipped when it is 0, which only a prime n dividing a base makes
-    happen.  An even n > 2 fails base 2, which every set holds.
+    The bases depend on n's size: (2, 7, 61) below 4759123141, the least
+    strong pseudoprime to all three (Jaeschke, "On strong pseudoprimes to
+    several bases", Math. Comp. 1993), and Sinclair's seven bases (2011),
+    exact for every 64-bit n, from there on; a larger n is refused with
+    ValueError.  Each base is reduced mod n and skipped when it is 0, which
+    only a prime n dividing a base makes happen.  An even n > 2 fails base
+    2, which both sets hold.
     """
     if n < 2:
         return False
-    if n >= _MR_LIMIT:
-        raise ValueError(f"is_prime is proven only below {_MR_LIMIT}, got {n}")
-    if n < _MR_LIMIT_32:
-        bases = _MR_BASES_32
-    elif n < 1 << 64:
-        bases = _MR_BASES_64
-    else:
-        bases = _MR_BASES
+    if n > FACTOR_INPUT_LIMIT:
+        raise ValueError(f"{n} exceeds the supported bound 2**63")
+    bases = _MR_BASES_32 if n < _MR_LIMIT_32 else _MR_BASES_64
     s = nu2(n - 1)
     d = (n - 1) >> s
     for a in bases:

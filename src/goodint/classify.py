@@ -82,7 +82,12 @@ def _decide(pair: Pair, ell: int, method: str) -> Verdict:
 
 
 def is_good(pair: Pair, ell: int) -> Verdict:
-    """Case-analysis membership decision for any positive ell."""
+    """Case-analysis membership decision for positive ell.
+
+    An ell that shares a prime with ab is bad at any size, and is answered
+    before any factoring; any other ell above 2**63, factorize's bound,
+    raises ValueError.
+    """
     return _decide(pair, ell, "theorem")
 
 

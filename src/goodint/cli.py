@@ -6,8 +6,9 @@ JSON object per line (schema_version 1), records sorted by (ell, a, b).
 
 Exit codes: 0 success, 1 usage error, 2 precondition violation,
 3 discrepancies found (audit --claim crossval only), 70 internal
-failure (Pollard rho gave up, or stdout could not be written), 130
-interrupted (SIGINT), 143 terminated (SIGTERM).
+failure (Pollard rho gave up, a worker process died, memory ran out, or
+stdout could not be written), 130 interrupted (SIGINT), 143 terminated
+(SIGTERM).
 """
 
 from __future__ import annotations
@@ -296,8 +297,10 @@ def main(argv=None) -> int:
         return EXIT_PRECONDITION
     except BrokenPipeError:
         return EXIT_OK
-    except (arith.RhoGaveUp, OSError) as exc:
-        print(f"goodint: {exc}", file=sys.stderr)
+    except (RuntimeError, OSError, MemoryError) as exc:
+        # RuntimeError covers rho's give-up and a dead worker process;
+        # MemoryError may carry no text.
+        print(f"goodint: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_SOFTWARE
     except KeyboardInterrupt:
         print("goodint: interrupted", file=sys.stderr)

@@ -6,9 +6,7 @@ from __future__ import annotations
 import math
 import os
 import signal
-from collections import deque
 from dataclasses import dataclass, field
-from itertools import islice
 from typing import NamedTuple
 
 
@@ -64,38 +62,68 @@ class Verdict(NamedTuple):
         return (self.good, self.oddly_good, self.evenly_good)
 
 
-def _ignore_sigint() -> None:
-    # Ctrl-C reaches the whole process group; only the parent should act on
-    # it.  A worker interrupted inside a queue operation can leave the pool's
-    # shutdown waiting forever.
+def _serve(conn, fn) -> None:
+    """A worker: answer each task from conn with (True, fn(task)), or with
+    (False, exc) when fn raises."""
+    # Ctrl-C reaches the whole process group; only the parent acts on it.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.signal(signal.SIGTERM, signal.SIG_DFL)  # not the handler forked from the CLI
+    while True:
+        task = conn.recv()
+        try:
+            reply = True, fn(task)
+        except Exception as exc:
+            reply = False, exc
+        conn.send(reply)
 
 
 def parallel_map(fn, tasks, jobs: int):
     """Yield fn(task) for each task in order, across worker processes if jobs > 1.
 
-    Starts min(jobs, len(tasks), CPU count) workers, since the pool forks
-    them all at the first submit, and keeps at most twice that many tasks in
-    flight, so finished results never pile up ahead of a slow consumer.
-    Closing the generator early cancels the tasks not yet started.  Workers
-    ignore SIGINT, so Ctrl-C interrupts the parent alone, and die of SIGTERM.
-    The pool module (and multiprocessing with it) is imported only when a
-    pool is started.
+    Starts min(jobs, len(tasks), CPU count) workers, each with its own pipe.
+    Task i goes to worker i % workers, so each pipe returns its results in
+    task order, and at most two tasks per worker are in flight, so finished
+    results never pile up ahead of a slow consumer.  The parent keeps no
+    worker's end of a pipe: a worker that dies, even midway through sending
+    a result, reads as end of file and raises RuntimeError, not a wait for
+    ever.  Closing the generator early, or any error, stops the workers.
+    Workers ignore SIGINT, so Ctrl-C interrupts the parent alone, and die of
+    SIGTERM.  multiprocessing is imported only when a pool is started.
     """
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
     if workers <= 1:
         yield from map(fn, tasks)
         return
-    from concurrent.futures import ProcessPoolExecutor
+    import multiprocessing
 
-    pool = ProcessPoolExecutor(max_workers=workers, initializer=_ignore_sigint)
+    procs, conns = [], []
     try:
-        rest = iter(tasks)
-        window = deque(pool.submit(fn, t) for t in islice(rest, 2 * workers))
-        while window:
-            result = window.popleft().result()
-            window.extend(pool.submit(fn, t) for t in islice(rest, 1))
-            yield result
+        for _ in range(workers):
+            conn, theirs = multiprocessing.Pipe()
+            proc = multiprocessing.Process(target=_serve, args=(theirs, fn), daemon=True)
+            proc.start()
+            theirs.close()
+            procs.append(proc)
+            conns.append(conn)
+        sent = 0
+        for i in range(len(tasks)):
+            try:
+                while sent < min(i + 2 * workers, len(tasks)):
+                    w = sent % workers
+                    conns[w].send(tasks[sent])
+                    sent += 1
+                w = i % workers
+                ok, value = conns[w].recv()
+            except (EOFError, OSError):
+                procs[w].join()
+                raise RuntimeError(f"worker process {procs[w].pid} died "
+                                   f"(exit code {procs[w].exitcode})") from None
+            if not ok:
+                raise value
+            yield value
     finally:
-        pool.shutdown(cancel_futures=True)
+        for proc in procs:
+            proc.terminate()
+        for proc, conn in zip(procs, conns):
+            proc.join()
+            conn.close()

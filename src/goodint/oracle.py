@@ -26,6 +26,9 @@ def order_oracle_verdict(pair: Pair, ell: int) -> Verdict:
     ell | a**k + b**k iff x**k = -1 (mod ell).  For ell > 2 every witness
     is congruent mod the order of x to the smallest one,
     arith.smallest_negation_exponent, whose parity settles oddly/evenly.
+    An ell that shares a prime with ab is bad at any size, and is answered
+    before any order is taken; any other ell above 2**63, factorize's
+    bound, raises ValueError.
     """
     if ell < 1:
         raise ValueError(f"ell must be positive, got {ell}")

@@ -195,22 +195,33 @@ class TestIsPrime:
             assert arith.is_prime(n) == bool(sieve[n]), n
 
     def test_strong_pseudoprime_composites(self):
-        # Each fools a small base set; the last, psi_12 = 399165290221 *
-        # 798330580441, fools the first twelve primes.
-        for n in (3215031751, 3825123056546413051, 318665857834031151167461):
+        # Each fools a small base set: 3215031751 the bases 2, 3, 5 and 7,
+        # 3825123056546413051 the first nine primes.  psi_12 = 399165290221 *
+        # 798330580441 fools the first twelve and psi_13 = 1287836182261 *
+        # 2575672364521 the first thirteen; both lie past 2**63 and are
+        # refused, not answered.
+        for n in (3215031751, 3825123056546413051):
             assert not arith.is_prime(n)
+        for n in (318665857834031151167461, 3317044064679887385961981):
+            with pytest.raises(ValueError, match=f"^{n} exceeds the supported bound 2\\*\\*63$"):
+                arith.is_prime(n)
 
     def test_large_prime(self):
         assert arith.is_prime(2**61 - 1)
 
     def test_refuses_past_proven_bound(self):
-        # psi_13 = 1287836182261 * 2575672364521 is a strong pseudoprime to
-        # all thirteen bases, so from it on no answer would be proven.  The
-        # largest prime below it is still answered.
-        assert arith.is_prime(3317044064679887385961813)
-        for n in (3317044064679887385961981, 2**82):
-            with pytest.raises(ValueError):
+        # is_prime covers factorize's range and refuses what factorize
+        # refuses, with the same message: 2**63 itself and the largest prime
+        # below it are answered, everything above is refused.
+        assert not arith.is_prime(2**63)
+        assert arith.is_prime(2**63 - 25)
+        for n in (2**63 + 1, 2**64 - 1, 2**64 + 1, 3317044064679887385961813, 2**82):
+            with pytest.raises(ValueError) as refused:
                 arith.is_prime(n)
+            with pytest.raises(ValueError) as factor_refused:
+                arith.factorize(n)
+            assert str(refused.value) == str(factor_refused.value) == (
+                f"{n} exceeds the supported bound 2**63")
 
     def test_small_base_set_boundary(self):
         # 4759123141 = 48781 * 97561 is a strong pseudoprime to 2, 7 and 61,

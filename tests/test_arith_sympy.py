@@ -38,12 +38,15 @@ FIXED = (1031 * 1033, 999983**2, (2**31 - 1) ** 2, 2**61 - 1, 3215031751,
 
 # Each Miller-Rabin base set at its bound: 4759123141 = 48781 * 97561 fools
 # (2, 7, 61) and must take the 64-bit set; 4759123129 and 4759123151 are the
-# primes beside it; 2**64 - 59 and 2**64 + 13 are the primes beside 2**64;
-# 318665857834031151167461, the least strong pseudoprime to the first twelve
-# primes (Sorenson and Webster 2017), needs the thirteenth.
+# primes beside it.  2**63 - 25 is the largest prime in factorize's range and
+# 2**63 its end.  Everything past 2**63 is refused: 2**64 - 59 and 2**64 + 13,
+# the primes beside 2**64, and 318665857834031151167461 and
+# 3317044064679887385961981, the least strong pseudoprimes to the first twelve
+# and thirteen primes (Sorenson and Webster 2017).
 MR_BOUNDARY = (4759123141, 4759123129, 4759123151, 2**64 - 59, 2**64 + 13,
                2**64 - 1, 2**64 + 1, 3215031751, 3825123056546413051,
-               318665857834031151167461)
+               318665857834031151167461, 2**63 - 25, 2**63, 2**63 + 1,
+               3317044064679887385961981)
 
 
 def _as_dict(f: arith.Factorization) -> dict[int, int]:
@@ -74,7 +77,11 @@ def test_is_prime_matches_isprime(n):
 
 @pytest.mark.parametrize("n", MR_BOUNDARY)
 def test_is_prime_base_set_boundaries(n):
-    assert arith.is_prime(n) == sympy.isprime(n)
+    if n <= LIMIT:
+        assert arith.is_prime(n) == sympy.isprime(n)
+    else:
+        with pytest.raises(ValueError, match=f"^{n} exceeds the supported bound 2\\*\\*63$"):
+            arith.is_prime(n)
 
 
 @given(st.integers(1, LIMIT), st.one_of(rho_inputs, st.sampled_from(FIXED)))

@@ -1,5 +1,5 @@
-import concurrent.futures
 import math
+import multiprocessing
 import os
 import pickle
 import subprocess
@@ -305,49 +305,72 @@ class TestParallelMap:
         assert list(core.parallel_map(abs, tasks, 2)) == [abs(t) for t in tasks]
         assert list(core.parallel_map(abs, tasks, 1)) == [abs(t) for t in tasks]
 
+    def test_worker_error_is_raised_in_parent(self):
+        with pytest.raises(ValueError, match="invalid literal"):
+            list(core.parallel_map(int, ["1", "2", "x", "4"], 2))
+
+    def test_dead_worker_raises_runtime_error(self):
+        # A worker that exits mid-task leaves its pipe at end of file.
+        with pytest.raises(RuntimeError, match=r"^worker process \d+ died \(exit code 3\)$"):
+            list(core.parallel_map(os._exit, [3, 3, 3], 2))
+
     @staticmethod
     def fake_pool(monkeypatch, cpus):
-        """Patch in a pool that runs tasks at submit and records its use."""
-        stats = {"workers": None, "live": 0, "peak": 0, "cancelled": None}
+        """Patch in workers that run each task as it is sent and record their use."""
+        stats = {"workers": 0, "live": 0, "peak": 0, "stopped": 0}
 
-        class Done:
-            def __init__(self, value):
-                self.value = value
+        class Conn:
+            def __init__(self):
+                self.fn, self.replies = None, []
 
-            def result(self):
-                stats["live"] -= 1
-                return self.value
-
-        class Pool:
-            def __init__(self, max_workers, initializer=None):
-                stats["workers"] = max_workers
-
-            def submit(self, fn, task):
+            def send(self, task):
                 stats["live"] += 1
                 stats["peak"] = max(stats["peak"], stats["live"])
-                return Done(fn(task))
+                self.replies.append((True, self.fn(task)))
 
-            def shutdown(self, cancel_futures):
-                stats["cancelled"] = cancel_futures
+            def recv(self):
+                stats["live"] -= 1
+                return self.replies.pop(0)
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+            def close(self):
+                pass
+
+        def pipe():
+            conn = Conn()
+            return conn, conn
+
+        class Process:
+            def __init__(self, target, args, daemon):
+                conn, conn.fn = args
+                stats["workers"] += 1
+
+            def start(self):
+                pass
+
+            def terminate(self):
+                stats["stopped"] += 1
+
+            def join(self):
+                pass
+
+        monkeypatch.setattr(multiprocessing, "Pipe", pipe)
+        monkeypatch.setattr(multiprocessing, "Process", Process)
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         return stats
 
     def test_window_is_bounded_and_cancelled_on_close(self, monkeypatch):
         stats = self.fake_pool(monkeypatch, cpus=8)
         assert list(core.parallel_map(abs, range(-50, 0), 3)) == list(range(50, 0, -1))
-        assert stats["peak"] == 6 and stats["cancelled"] is True
-        stats["cancelled"] = None
+        assert stats["peak"] == 6 and stats["stopped"] == 3
         results = core.parallel_map(abs, range(-50, 0), 3)
         assert next(results) == 50
         results.close()
-        assert stats["cancelled"] is True
+        assert stats["stopped"] == 6
 
     @pytest.mark.parametrize("cpus,tasks,workers,peak", [(4, 50, 4, 8), (8, 3, 3, 3)])
     def test_workers_capped_by_cpus_and_tasks(self, monkeypatch, cpus, tasks, workers, peak):
-        # The pool forks all its workers at the first submit, so a huge
-        # job count must never reach it.
+        # Every worker is forked up front, so a huge job count must never
+        # reach the pool.
         stats = self.fake_pool(monkeypatch, cpus)
         out = list(core.parallel_map(abs, range(-tasks, 0), 10**9))
         assert out == list(range(tasks, 0, -1))

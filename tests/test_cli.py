@@ -568,8 +568,8 @@ class TestClosedStdout:
 
 class TestRuntimeFailure:
     """A failure that no input check could foresee exits 70 (EX_SOFTWARE)
-    with one stderr line: Pollard rho giving up, or a stdout that cannot be
-    written."""
+    with one stderr line and no traceback: Pollard rho giving up, a worker
+    process dying, memory running out, or a stdout that cannot be written."""
 
     def test_rho_giving_up_exits_70(self, cold_caches, monkeypatch):
         # A wrong "composite" answer sends the prime 2**31 - 1 to rho.
@@ -579,6 +579,41 @@ class TestRuntimeFailure:
         assert (code, out) == (70, "")
         (line,) = err.splitlines()
         assert line.startswith("goodint: Pollard rho found no factor of 2147483647")
+
+    def test_memory_error_exits_70(self, monkeypatch):
+        # An empty MemoryError, as the interpreter raises it, still names
+        # its reason.
+        def exhausted(pair, ell):
+            raise MemoryError
+
+        monkeypatch.setattr(oracle, "order_oracle_verdict", exhausted)
+        code, out, err = run_main(["classify", "--a", "3", "--b", "5", "--ell", "7",
+                                   "--method", "oracle"])
+        assert (code, out, err) == (70, "", "goodint: out of memory\n")
+
+    def test_killed_worker_exits_70(self):
+        # A worker killed outright, even midway through sending a result,
+        # ends the run; the parent reports it and stops the other worker.
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "goodint", "enumerate", "--a", "3", "--b", "5",
+             "--max", "3000000", "--jobs", "2"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, cwd=PKG_ROOT,
+            start_new_session=True,
+        )
+        try:
+            assert proc.stdout.read(1) == b"{"
+            with open(f"/proc/{proc.pid}/task/{proc.pid}/children") as fh:
+                workers = [int(pid) for pid in fh.read().split()]
+            assert len(workers) == 2
+            os.kill(workers[0], signal.SIGKILL)
+            _, err = proc.communicate(timeout=20)
+        finally:
+            # The group outlives a parent that dies with workers still running.
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+        assert proc.returncode == 70
+        assert re.fullmatch(rb"goodint: worker process \d+ died \(exit code -9\)\n", err)
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
     @pytest.mark.parametrize("argv", [
