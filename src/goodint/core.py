@@ -62,57 +62,57 @@ class Verdict(NamedTuple):
         return (self.good, self.oddly_good, self.evenly_good)
 
 
-def _serve(conn, fn) -> None:
-    """A worker: answer each task from conn with (True, fn(task)), or with
-    (False, exc) when fn raises."""
+def _serve(conn, fn, tasks, inherited) -> None:
+    """A worker: send (True, fn(task)), or (False, exc) if fn raises, per task."""
     # Ctrl-C reaches the whole process group; only the parent acts on it.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.signal(signal.SIGTERM, signal.SIG_DFL)  # not the handler forked from the CLI
-    while True:
-        task = conn.recv()
-        try:
-            reply = True, fn(task)
-        except Exception as exc:
-            reply = False, exc
-        conn.send(reply)
+    for end in inherited:  # the parent's read ends, copied at fork
+        end.close()
+    try:
+        for task in tasks:
+            try:
+                reply = True, fn(task)
+            except Exception as exc:
+                reply = False, exc
+            conn.send(reply)
+    except BrokenPipeError:  # the parent is gone, however it died
+        pass
 
 
 def parallel_map(fn, tasks, jobs: int):
     """Yield fn(task) for each task in order, across worker processes if jobs > 1.
 
-    Starts min(jobs, len(tasks), CPU count) workers, each with its own pipe.
-    Task i goes to worker i % workers, so each pipe returns its results in
-    task order, and at most two tasks per worker are in flight, so finished
-    results never pile up ahead of a slow consumer.  The parent keeps no
-    worker's end of a pipe: a worker that dies, even midway through sending
-    a result, reads as end of file and raises RuntimeError, not a wait for
-    ever.  Closing the generator early, or any error, stops the workers.
-    Workers ignore SIGINT, so Ctrl-C interrupts the parent alone, and die of
-    SIGTERM.  multiprocessing is imported only when a pool is started.
+    Starts min(jobs, len(tasks), CPU count) workers.  Worker w is handed
+    tasks[w::workers] at start and sends their results in order down a pipe
+    only it writes, so the parent reads task i's from worker i % workers and
+    sends nothing; a result waits in its pipe until read, so a slow consumer
+    stalls the workers.  The parent keeps no write end and each worker closes
+    the read ends it inherited: a dead worker reads as end of file and raises
+    RuntimeError, and a dead parent, even one killed by SIGKILL, fails each
+    worker's next send, on which the worker exits.  Closing the generator
+    early, or any error, stops the workers.  Workers ignore SIGINT, so Ctrl-C
+    interrupts the parent alone, and die of SIGTERM.  multiprocessing is
+    imported only when a pool is started.
     """
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
     if workers <= 1:
         yield from map(fn, tasks)
         return
-    import multiprocessing
+    from multiprocessing import Pipe, Process
 
     procs, conns = [], []
     try:
-        for _ in range(workers):
-            conn, theirs = multiprocessing.Pipe()
-            proc = multiprocessing.Process(target=_serve, args=(theirs, fn), daemon=True)
+        for w in range(workers):
+            conn, theirs = Pipe(duplex=False)
+            conns.append(conn)
+            proc = Process(target=_serve, args=(theirs, fn, tasks[w::workers], conns), daemon=True)
             proc.start()
             theirs.close()
             procs.append(proc)
-            conns.append(conn)
-        sent = 0
         for i in range(len(tasks)):
+            w = i % workers
             try:
-                while sent < min(i + 2 * workers, len(tasks)):
-                    w = sent % workers
-                    conns[w].send(tasks[sent])
-                    sent += 1
-                w = i % workers
                 ok, value = conns[w].recv()
             except (EOFError, OSError):
                 procs[w].join()

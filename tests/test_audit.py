@@ -299,6 +299,14 @@ class TestSweepBounds:
             audit.crossval_sweep(613, 613, 1)
 
 
+def _log_start(task) -> bytes:
+    """Append i to the log at path, then return 1 MiB."""
+    path, i = task
+    with open(path, "a") as fh:
+        fh.write(f"{i}\n")
+    return bytes(1 << 20)
+
+
 class TestParallelMap:
     def test_order_is_kept_across_processes(self):
         tasks = list(range(-40, 0))
@@ -314,38 +322,54 @@ class TestParallelMap:
         with pytest.raises(RuntimeError, match=r"^worker process \d+ died \(exit code 3\)$"):
             list(core.parallel_map(os._exit, [3, 3, 3], 2))
 
+    def test_slow_consumer_bounds_started_tasks(self, tmp_path):
+        # A result waits in its worker's pipe until read.  With 1 MiB results
+        # and a consumer that holds the first, only the next task of each
+        # worker may start; closing the generator starts no more.
+        log = tmp_path / "started"
+        results = core.parallel_map(_log_start, [(log, i) for i in range(40)], 2)
+        try:
+            assert len(next(results)) == 1 << 20
+            time.sleep(1)
+            started = log.read_text().split()
+        finally:
+            results.close()
+        assert len(started) <= 3
+        assert log.read_text().split() == started
+
     @staticmethod
     def fake_pool(monkeypatch, cpus):
-        """Patch in workers that run each task as it is sent and record their use."""
-        stats = {"workers": 0, "live": 0, "peak": 0, "stopped": 0}
+        """Patch in workers that run their task slice as they start, and
+        pipes whose parent end can only be read."""
+        stats = {"slices": [], "stopped": 0}
 
-        class Conn:
-            def __init__(self):
-                self.fn, self.replies = None, []
-
-            def send(self, task):
-                stats["live"] += 1
-                stats["peak"] = max(stats["peak"], stats["live"])
-                self.replies.append((True, self.fn(task)))
+        class Reader:
+            def __init__(self, replies):
+                self.replies = replies
 
             def recv(self):
-                stats["live"] -= 1
                 return self.replies.pop(0)
 
             def close(self):
                 pass
 
-        def pipe():
-            conn = Conn()
-            return conn, conn
+        class Writer(Reader):
+            def send(self, reply):
+                self.replies.append(reply)
+
+        def pipe(duplex):
+            assert not duplex
+            replies = []
+            return Reader(replies), Writer(replies)
 
         class Process:
             def __init__(self, target, args, daemon):
-                conn, conn.fn = args
-                stats["workers"] += 1
+                self.conn, self.fn, self.tasks, _ = args
+                stats["slices"].append(list(self.tasks))
 
             def start(self):
-                pass
+                for task in self.tasks:
+                    self.conn.send((True, self.fn(task)))
 
             def terminate(self):
                 stats["stopped"] += 1
@@ -358,23 +382,24 @@ class TestParallelMap:
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         return stats
 
-    def test_window_is_bounded_and_cancelled_on_close(self, monkeypatch):
+    def test_closing_early_stops_the_workers(self, monkeypatch):
         stats = self.fake_pool(monkeypatch, cpus=8)
         assert list(core.parallel_map(abs, range(-50, 0), 3)) == list(range(50, 0, -1))
-        assert stats["peak"] == 6 and stats["stopped"] == 3
+        assert stats["stopped"] == 3
         results = core.parallel_map(abs, range(-50, 0), 3)
         assert next(results) == 50
         results.close()
         assert stats["stopped"] == 6
 
-    @pytest.mark.parametrize("cpus,tasks,workers,peak", [(4, 50, 4, 8), (8, 3, 3, 3)])
-    def test_workers_capped_by_cpus_and_tasks(self, monkeypatch, cpus, tasks, workers, peak):
+    @pytest.mark.parametrize("cpus,tasks,workers", [(4, 50, 4), (8, 3, 3)])
+    def test_workers_capped_by_cpus_and_tasks(self, monkeypatch, cpus, tasks, workers):
         # Every worker is forked up front, so a huge job count must never
-        # reach the pool.
+        # reach the pool.  Each task goes to exactly one worker.
         stats = self.fake_pool(monkeypatch, cpus)
         out = list(core.parallel_map(abs, range(-tasks, 0), 10**9))
         assert out == list(range(tasks, 0, -1))
-        assert stats["workers"] == workers and stats["peak"] == peak
+        assert len(stats["slices"]) == workers
+        assert sorted(sum(stats["slices"], [])) == list(range(-tasks, 0))
 
     def test_import_loads_no_pool_machinery(self):
         # The pool is imported only when parallel_map starts one, so a

@@ -23,6 +23,16 @@ from conftest import order_by_scan, records, refuse_work, run_main
 PKG_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
+def _running(pid: int) -> bool:
+    """Whether process pid exists and has not exited.  An orphan that has
+    exited stays a zombie until the reaper it was handed to collects it."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rpartition(")")[2].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
 class TestEntryPoint:
     def test_python_m_goodint_exit_codes(self):
         # __main__.py's sys.exit(main()): the one test of the real entry point.
@@ -283,6 +293,37 @@ class TestEnumerate:
         assert len(workers) == 2
         deadline = time.monotonic() + 2
         while any(os.path.exists(f"/proc/{pid}") for pid in workers):
+            assert time.monotonic() < deadline, "a worker outlived the parent"
+            time.sleep(0.05)
+
+    def test_sigkill_leaves_no_worker_and_no_pipe_held(self):
+        # A parent killed outright runs no handler.  Its workers must still
+        # exit, or they hold stdout and stderr open, so that a reader such
+        # as `| wc -l` waits for ever.
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "goodint", "enumerate", "--a", "3", "--b", "5",
+             "--max", "3000000", "--jobs", "2"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, cwd=PKG_ROOT,
+            start_new_session=True,
+        )
+        try:
+            assert proc.stdout.read(1) == b"{"
+            with open(f"/proc/{proc.pid}/task/{proc.pid}/children") as fh:
+                workers = [int(pid) for pid in fh.read().split()]
+            os.kill(proc.pid, signal.SIGKILL)
+            t0 = time.monotonic()
+            _, err = proc.communicate(timeout=5)  # end of file on stdout and stderr
+            closed_s = time.monotonic() - t0
+        finally:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+        assert proc.returncode == -signal.SIGKILL
+        assert err == b""
+        assert closed_s < 2
+        assert len(workers) == 2
+        deadline = time.monotonic() + 2
+        while any(_running(pid) for pid in workers):
             assert time.monotonic() < deadline, "a worker outlived the parent"
             time.sleep(0.05)
 
