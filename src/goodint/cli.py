@@ -14,7 +14,6 @@ stdout could not be written), 130 interrupted (SIGINT), 143 terminated
 from __future__ import annotations
 
 import argparse
-import os
 import signal
 import sys
 import threading
@@ -23,7 +22,7 @@ from itertools import filterfalse, repeat
 from operator import attrgetter
 
 from . import arith, audit, classify, oracle
-from .core import Pair, parallel_map
+from .core import Pair, parallel_map, usable_cpus
 
 SCHEMA_VERSION = 1
 ENUM_LIMIT = 10**8
@@ -31,6 +30,7 @@ ENUM_LIMIT = 10**8
 # this modulus: at most 2*10**6 steps, a fraction of a second.
 BRUTE_FORCE_LIMIT = 10**6
 _CHUNK = 1024
+_JOBS_HELP = "worker processes (default: the CPUs this process may use)"
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -252,8 +252,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--max", type=int, required=True)
     p.add_argument("--filter", choices=("good", "oddly", "evenly", "bad", "all"),
                    default="all")
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                   help="worker processes (default: CPU count)")
+    p.add_argument("--jobs", type=int, default=usable_cpus(), help=_JOBS_HELP)
     p.set_defaults(fn=_cmd_enumerate)
 
     p = sub.add_parser("order", help="multiplicative order with its components")
@@ -270,7 +269,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--a-max", type=int, default=25)
     p.add_argument("--b-max", type=int, default=25)
     p.add_argument("--ell-max", type=int, default=200)
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--jobs", type=int, default=usable_cpus(), help=_JOBS_HELP)
     p.set_defaults(fn=_cmd_audit)
     return parser
 

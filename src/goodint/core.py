@@ -6,8 +6,12 @@ from __future__ import annotations
 import math
 import os
 import signal
+import sys
 from dataclasses import dataclass, field
 from typing import NamedTuple
+
+# parallel_map's start method: fork on Linux whatever Python's default (fast, no helper process).
+START_METHOD = "fork" if sys.platform == "linux" else None
 
 
 @dataclass(frozen=True)
@@ -62,6 +66,11 @@ class Verdict(NamedTuple):
         return (self.good, self.oddly_good, self.evenly_good)
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask, where the platform has one."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
 def _serve(conn, fn, tasks, inherited) -> None:
     """A worker: send (True, fn(task)), or (False, exc) if fn raises, per task."""
     # Ctrl-C reaches the whole process group; only the parent acts on it.
@@ -83,30 +92,30 @@ def _serve(conn, fn, tasks, inherited) -> None:
 def parallel_map(fn, tasks, jobs: int):
     """Yield fn(task) for each task in order, across worker processes if jobs > 1.
 
-    Starts min(jobs, len(tasks), CPU count) workers.  Worker w is handed
-    tasks[w::workers] at start and sends their results in order down a pipe
-    only it writes, so the parent reads task i's from worker i % workers and
-    sends nothing; a result waits in its pipe until read, so a slow consumer
-    stalls the workers.  The parent keeps no write end and each worker closes
-    the read ends it inherited: a dead worker reads as end of file and raises
-    RuntimeError, and a dead parent, even one killed by SIGKILL, fails each
-    worker's next send, on which the worker exits.  Closing the generator
-    early, or any error, stops the workers.  Workers ignore SIGINT, so Ctrl-C
-    interrupts the parent alone, and die of SIGTERM.  multiprocessing is
-    imported only when a pool is started.
+    Starts min(jobs, len(tasks), usable_cpus()) workers by START_METHOD.
+    Worker w is handed tasks[w::workers] at start and sends their results in
+    order down a pipe only it writes, so the parent reads task i's from worker
+    i % workers and sends nothing; a result waits in its pipe until read, so a
+    slow consumer stalls the workers.  The parent keeps no write end and each
+    worker closes the read ends it inherited: a dead worker reads as end of
+    file and raises RuntimeError, and a dead parent, even one killed by
+    SIGKILL, fails each worker's next send, on which the worker exits.
+    Closing the generator early, or any error, stops the workers.  Workers
+    ignore SIGINT, so Ctrl-C interrupts the parent alone, and die of SIGTERM.
+    multiprocessing is imported only when a pool is started.
     """
-    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    workers = min(jobs, len(tasks), usable_cpus())
     if workers <= 1:
         yield from map(fn, tasks)
         return
-    from multiprocessing import Pipe, Process
-
+    from multiprocessing import get_context
+    context = get_context(START_METHOD)
     procs, conns = [], []
     try:
         for w in range(workers):
-            conn, theirs = Pipe(duplex=False)
+            conn, theirs = context.Pipe(duplex=False)
             conns.append(conn)
-            proc = Process(target=_serve, args=(theirs, fn, tasks[w::workers], conns), daemon=True)
+            proc = context.Process(target=_serve, args=(theirs, fn, tasks[w::workers], conns), daemon=True)
             proc.start()
             theirs.close()
             procs.append(proc)

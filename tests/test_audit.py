@@ -5,6 +5,7 @@ import pickle
 import subprocess
 import sys
 import time
+import types
 
 import numpy as np
 import pytest
@@ -337,10 +338,29 @@ class TestParallelMap:
         assert len(started) <= 3
         assert log.read_text().split() == started
 
+    def test_spawned_workers(self, monkeypatch):
+        # spawn, the start method off Linux: results come in task order, a
+        # task's error is raised in the parent, and closing early stops
+        # every worker.
+        monkeypatch.setattr(core, "START_METHOD", "spawn")
+        monkeypatch.setattr(core, "usable_cpus", lambda: 2)
+        out = []
+        with pytest.raises(ValueError, match="invalid literal"):
+            for value in core.parallel_map(int, [str(i) for i in range(-20, 0)] + ["x", "0"], 2):
+                out.append(value)
+        assert out == list(range(-20, 0))
+        results = core.parallel_map(bytes, [1 << 20] * 40, 2)
+        assert len(next(results)) == 1 << 20
+        workers = multiprocessing.active_children()
+        assert len(workers) == 2
+        results.close()
+        assert not any(worker.is_alive() for worker in workers)
+
     @staticmethod
-    def fake_pool(monkeypatch, cpus):
-        """Patch in workers that run their task slice as they start, and
-        pipes whose parent end can only be read."""
+    def fake_pool(monkeypatch, cpus, mask):
+        """Patch in a context whose workers run their task slice as they
+        start, and whose pipes' parent ends can only be read; os.cpu_count()
+        says cpus, and the affinity mask holds mask CPUs."""
         stats = {"slices": [], "stopped": 0}
 
         class Reader:
@@ -377,13 +397,15 @@ class TestParallelMap:
             def join(self):
                 pass
 
-        monkeypatch.setattr(multiprocessing, "Pipe", pipe)
-        monkeypatch.setattr(multiprocessing, "Process", Process)
+        context = types.SimpleNamespace(Pipe=pipe, Process=Process)
+        monkeypatch.setattr(multiprocessing, "get_context", lambda method: context)
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(mask)), raising=False)
         return stats
 
     def test_closing_early_stops_the_workers(self, monkeypatch):
-        stats = self.fake_pool(monkeypatch, cpus=8)
+        stats = self.fake_pool(monkeypatch, cpus=8, mask=8)
         assert list(core.parallel_map(abs, range(-50, 0), 3)) == list(range(50, 0, -1))
         assert stats["stopped"] == 3
         results = core.parallel_map(abs, range(-50, 0), 3)
@@ -391,15 +413,19 @@ class TestParallelMap:
         results.close()
         assert stats["stopped"] == 6
 
-    @pytest.mark.parametrize("cpus,tasks,workers", [(4, 50, 4), (8, 3, 3)])
-    def test_workers_capped_by_cpus_and_tasks(self, monkeypatch, cpus, tasks, workers):
+    @pytest.mark.parametrize("cpus,mask,tasks,workers",
+                             [(4, 4, 50, 4), (8, 8, 3, 3), (8, 1, 50, 0)],
+                             ids=["4-50-4", "8-3-3", "8-50-0-mask1"])  # cpus-tasks-workers
+    def test_workers_capped_by_cpus_and_tasks(self, monkeypatch, cpus, mask, tasks, workers):
         # Every worker is forked up front, so a huge job count must never
-        # reach the pool.  Each task goes to exactly one worker.
-        stats = self.fake_pool(monkeypatch, cpus)
+        # reach the pool.  Each task goes to exactly one worker.  Only the
+        # CPUs in the affinity mask count: with one, no worker is built and
+        # the tasks run in process.
+        stats = self.fake_pool(monkeypatch, cpus, mask)
         out = list(core.parallel_map(abs, range(-tasks, 0), 10**9))
         assert out == list(range(tasks, 0, -1))
         assert len(stats["slices"]) == workers
-        assert sorted(sum(stats["slices"], [])) == list(range(-tasks, 0))
+        assert sorted(sum(stats["slices"], [])) == (list(range(-tasks, 0)) if workers else [])
 
     def test_import_loads_no_pool_machinery(self):
         # The pool is imported only when parallel_map starts one, so a

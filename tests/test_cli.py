@@ -33,6 +33,29 @@ def _running(pid: int) -> bool:
         return False
 
 
+@contextlib.contextmanager
+def _pooled_enumerate():
+    """A long `enumerate --jobs 2` in its own session, once it has written its
+    first byte: yields the process and its two workers.  On exit the whole
+    session is killed, since it outlives a parent that dies with workers
+    still running; so a check that no worker is left belongs in the block."""
+    with subprocess.Popen(
+        [sys.executable, "-m", "goodint", "enumerate", "--a", "3", "--b", "5",
+         "--max", "3000000", "--jobs", "2"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, cwd=PKG_ROOT,
+        start_new_session=True,
+    ) as proc:
+        try:
+            assert proc.stdout.read(1) == b"{"
+            with open(f"/proc/{proc.pid}/task/{proc.pid}/children") as fh:
+                workers = [int(pid) for pid in fh.read().split()]
+            assert len(workers) == 2
+            yield proc, workers
+        finally:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)
+
+
 class TestEntryPoint:
     def test_python_m_goodint_exit_codes(self):
         # __main__.py's sys.exit(main()): the one test of the real entry point.
@@ -249,21 +272,9 @@ class TestEnumerate:
 
     def test_sigint_exits_130_without_traceback(self):
         # Ctrl-C reaches the whole process group: parent and workers.
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "goodint", "enumerate", "--a", "3", "--b", "5",
-             "--max", "3000000", "--jobs", "2"],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, cwd=PKG_ROOT,
-            start_new_session=True,
-        )
-        try:
-            assert proc.stdout.read(1) == b"{"
+        with _pooled_enumerate() as (proc, _):
             os.killpg(proc.pid, signal.SIGINT)
             _, err = proc.communicate(timeout=20)
-        finally:
-            # The group outlives a parent that dies with workers still running.
-            with contextlib.suppress(ProcessLookupError):
-                os.killpg(proc.pid, signal.SIGKILL)
-            proc.wait()
         assert proc.returncode == 130
         assert b"Traceback" not in err
         assert err.strip().endswith(b"goodint: interrupted")
@@ -271,61 +282,32 @@ class TestEnumerate:
     def test_sigterm_exits_143_and_leaves_no_worker(self):
         # SIGTERM, as timeout(1) sends it, reaches the parent alone; it must
         # shut its pool down, or the workers outlive it holding stderr open.
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "goodint", "enumerate", "--a", "3", "--b", "5",
-             "--max", "3000000", "--jobs", "2"],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, cwd=PKG_ROOT,
-            start_new_session=True,
-        )
-        try:
-            assert proc.stdout.read(1) == b"{"
-            with open(f"/proc/{proc.pid}/task/{proc.pid}/children") as fh:
-                workers = [int(pid) for pid in fh.read().split()]
+        with _pooled_enumerate() as (proc, workers):
             os.kill(proc.pid, signal.SIGTERM)
             _, err = proc.communicate(timeout=20)
-        finally:
-            # The group outlives a parent that dies with workers still running.
-            with contextlib.suppress(ProcessLookupError):
-                os.killpg(proc.pid, signal.SIGKILL)
-            proc.wait()
-        assert proc.returncode == 143
-        assert err == b"goodint: terminated\n"
-        assert len(workers) == 2
-        deadline = time.monotonic() + 2
-        while any(os.path.exists(f"/proc/{pid}") for pid in workers):
-            assert time.monotonic() < deadline, "a worker outlived the parent"
-            time.sleep(0.05)
+            assert proc.returncode == 143
+            assert err == b"goodint: terminated\n"
+            deadline = time.monotonic() + 2
+            while any(os.path.exists(f"/proc/{pid}") for pid in workers):
+                assert time.monotonic() < deadline, "a worker outlived the parent"
+                time.sleep(0.05)
 
     def test_sigkill_leaves_no_worker_and_no_pipe_held(self):
         # A parent killed outright runs no handler.  Its workers must still
         # exit, or they hold stdout and stderr open, so that a reader such
         # as `| wc -l` waits for ever.
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "goodint", "enumerate", "--a", "3", "--b", "5",
-             "--max", "3000000", "--jobs", "2"],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, cwd=PKG_ROOT,
-            start_new_session=True,
-        )
-        try:
-            assert proc.stdout.read(1) == b"{"
-            with open(f"/proc/{proc.pid}/task/{proc.pid}/children") as fh:
-                workers = [int(pid) for pid in fh.read().split()]
+        with _pooled_enumerate() as (proc, workers):
             os.kill(proc.pid, signal.SIGKILL)
             t0 = time.monotonic()
             _, err = proc.communicate(timeout=5)  # end of file on stdout and stderr
             closed_s = time.monotonic() - t0
-        finally:
-            with contextlib.suppress(ProcessLookupError):
-                os.killpg(proc.pid, signal.SIGKILL)
-            proc.wait()
-        assert proc.returncode == -signal.SIGKILL
-        assert err == b""
-        assert closed_s < 2
-        assert len(workers) == 2
-        deadline = time.monotonic() + 2
-        while any(_running(pid) for pid in workers):
-            assert time.monotonic() < deadline, "a worker outlived the parent"
-            time.sleep(0.05)
+            assert proc.returncode == -signal.SIGKILL
+            assert err == b""
+            assert closed_s < 2
+            deadline = time.monotonic() + 2
+            while any(_running(pid) for pid in workers):
+                assert time.monotonic() < deadline, "a worker outlived the parent"
+                time.sleep(0.05)
 
     def test_sigterm_handled_only_while_main_runs(self, monkeypatch):
         # An in-process caller, such as a test or a benchmark harness, gets
@@ -635,24 +617,9 @@ class TestRuntimeFailure:
     def test_killed_worker_exits_70(self):
         # A worker killed outright, even midway through sending a result,
         # ends the run; the parent reports it and stops the other worker.
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "goodint", "enumerate", "--a", "3", "--b", "5",
-             "--max", "3000000", "--jobs", "2"],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, cwd=PKG_ROOT,
-            start_new_session=True,
-        )
-        try:
-            assert proc.stdout.read(1) == b"{"
-            with open(f"/proc/{proc.pid}/task/{proc.pid}/children") as fh:
-                workers = [int(pid) for pid in fh.read().split()]
-            assert len(workers) == 2
+        with _pooled_enumerate() as (proc, workers):
             os.kill(workers[0], signal.SIGKILL)
             _, err = proc.communicate(timeout=20)
-        finally:
-            # The group outlives a parent that dies with workers still running.
-            with contextlib.suppress(ProcessLookupError):
-                os.killpg(proc.pid, signal.SIGKILL)
-            proc.wait()
         assert proc.returncode == 70
         assert re.fullmatch(rb"goodint: worker process \d+ died \(exit code -9\)\n", err)
 
