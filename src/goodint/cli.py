@@ -17,7 +17,7 @@ import argparse
 import signal
 import sys
 import threading
-from contextlib import closing
+from contextlib import closing, suppress
 from itertools import filterfalse, repeat
 from operator import attrgetter
 
@@ -288,28 +288,30 @@ def main(argv=None) -> int:
     owner = threading.current_thread() is threading.main_thread()
     previous = owner and signal.signal(signal.SIGTERM, _raise_terminated)
     try:
+        if sys.stdout is None:  # fd 1 was closed when the interpreter started
+            raise OSError("stdout is closed")
         code = args.fn(args)
         sys.stdout.flush()  # so that a failed write is caught below
         return code
     except ValueError as exc:
-        print(f"goodint: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
+        code, reason = EXIT_PRECONDITION, str(exc)
     except BrokenPipeError:
         return EXIT_OK
     except (RuntimeError, OSError, MemoryError) as exc:
         # RuntimeError covers rho's give-up and a dead worker process;
         # MemoryError may carry no text.
-        print(f"goodint: {str(exc) or 'out of memory'}", file=sys.stderr)
-        return EXIT_SOFTWARE
+        code, reason = EXIT_SOFTWARE, str(exc) or "out of memory"
     except KeyboardInterrupt:
-        print("goodint: interrupted", file=sys.stderr)
-        return EXIT_INTERRUPTED
+        code, reason = EXIT_INTERRUPTED, "interrupted"
     except _Terminated:
-        print("goodint: terminated", file=sys.stderr)
-        return EXIT_TERMINATED
+        code, reason = EXIT_TERMINATED, "terminated"
     finally:
         if owner:
             signal.signal(signal.SIGTERM, previous)
+    # A closed stderr (None) or a failed write loses the line, not the code.
+    with suppress(AttributeError, OSError):
+        sys.stderr.write(f"goodint: {reason}\n")
+    return code
 
 
 if __name__ == "__main__":

@@ -21,7 +21,7 @@ import signal
 
 import pytest
 
-from goodint import arith, cli
+from goodint import arith, cli, core
 
 # Edge moduli for multiplicative_order: every power of two up to 2**63 and
 # the largest prime below 2**63, with odd residues of both signs.
@@ -138,6 +138,12 @@ def time_limit(request):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture(autouse=True)
+def four_cpus(monkeypatch):
+    """Pin core.usable_cpus, so that in-process pools start the same workers on any host."""
+    monkeypatch.setattr(core, "usable_cpus", lambda: 4)
 
 
 def refuse_work(monkeypatch, module, name):

@@ -90,6 +90,21 @@ class TestFactorize:
         assert arith.factorize(r * r).odd_part == ((r, 2),)
         assert calls.count(r) == 1
 
+    def test_gcd_tier_stops_once_the_gcd_is_spent(self, cold_caches, monkeypatch):
+        # 3 * 5 * (2**31 - 1) shares 3 and 5 with the trial primes: the loop
+        # reads 3, 5 and then 7, where the gcd left is 1, and stops there.
+        visited = []
+
+        class CountingPrimes(tuple):
+            def __iter__(self):
+                for p in tuple.__iter__(self):
+                    visited.append(p)
+                    yield p
+
+        monkeypatch.setattr(arith, "_TRIAL_PRIMES", CountingPrimes(arith._TRIAL_PRIMES))
+        assert arith.factorize(3 * 5 * (2**31 - 1)).odd_part == ((3, 1), (5, 1), (2**31 - 1, 1))
+        assert visited == [3, 5, 7]
+
     def test_table_tier_matches_trial_division(self, cold_caches):
         # Every odd m below 2**16: the table holds m's smallest prime factor
         # (0 for 1 and the primes), and factorize reads m off it.

@@ -1,3 +1,4 @@
+import functools
 import math
 import multiprocessing
 import os
@@ -5,13 +6,12 @@ import pickle
 import subprocess
 import sys
 import time
-import types
 
 import numpy as np
 import pytest
 
 from goodint import arith, audit, classify, core, oracle
-from goodint.core import Pair
+from goodint.core import Pair, usable_cpus
 from conftest import factor_by_trial, negation_by_scan, order_by_scan, refuse_work
 
 
@@ -300,6 +300,18 @@ class TestSweepBounds:
             audit.crossval_sweep(613, 613, 1)
 
 
+def _pid(task) -> int:
+    """The pid of the process that runs task."""
+    return os.getpid()
+
+
+def _log_pid(path, serve, *args) -> None:
+    """Append this worker's pid to path, then serve(*args)."""
+    with open(path, "a") as fh:
+        fh.write(f"{os.getpid()}\n")
+    serve(*args)
+
+
 def _log_start(task) -> bytes:
     """Append i to the log at path, then return 1 MiB."""
     path, i = task
@@ -339,93 +351,54 @@ class TestParallelMap:
         assert log.read_text().split() == started
 
     def test_spawned_workers(self, monkeypatch):
-        # spawn, the start method off Linux: results come in task order, a
-        # task's error is raised in the parent, and closing early stops
-        # every worker.
+        # spawn, the start method off Linux: results come in task order, and
+        # a task's error is raised in the parent.
         monkeypatch.setattr(core, "START_METHOD", "spawn")
-        monkeypatch.setattr(core, "usable_cpus", lambda: 2)
         out = []
         with pytest.raises(ValueError, match="invalid literal"):
             for value in core.parallel_map(int, [str(i) for i in range(-20, 0)] + ["x", "0"], 2):
                 out.append(value)
         assert out == list(range(-20, 0))
-        results = core.parallel_map(bytes, [1 << 20] * 40, 2)
+
+    @pytest.mark.parametrize("method", ["fork", "spawn"])
+    def test_closing_early_stops_the_workers(self, monkeypatch, method):
+        monkeypatch.setattr(core, "START_METHOD", method)
+        results = core.parallel_map(bytes, [1 << 20] * 40, 3)
         assert len(next(results)) == 1 << 20
         workers = multiprocessing.active_children()
-        assert len(workers) == 2
+        assert len(workers) == 3
         results.close()
         assert not any(worker.is_alive() for worker in workers)
-
-    @staticmethod
-    def fake_pool(monkeypatch, cpus, mask):
-        """Patch in a context whose workers run their task slice as they
-        start, and whose pipes' parent ends can only be read; os.cpu_count()
-        says cpus, and the affinity mask holds mask CPUs."""
-        stats = {"slices": [], "stopped": 0}
-
-        class Reader:
-            def __init__(self, replies):
-                self.replies = replies
-
-            def recv(self):
-                return self.replies.pop(0)
-
-            def close(self):
-                pass
-
-        class Writer(Reader):
-            def send(self, reply):
-                self.replies.append(reply)
-
-        def pipe(duplex):
-            assert not duplex
-            replies = []
-            return Reader(replies), Writer(replies)
-
-        class Process:
-            def __init__(self, target, args, daemon):
-                self.conn, self.fn, self.tasks, _ = args
-                stats["slices"].append(list(self.tasks))
-
-            def start(self):
-                for task in self.tasks:
-                    self.conn.send((True, self.fn(task)))
-
-            def terminate(self):
-                stats["stopped"] += 1
-
-            def join(self):
-                pass
-
-        context = types.SimpleNamespace(Pipe=pipe, Process=Process)
-        monkeypatch.setattr(multiprocessing, "get_context", lambda method: context)
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        monkeypatch.setattr(os, "sched_getaffinity",
-                            lambda pid: set(range(mask)), raising=False)
-        return stats
-
-    def test_closing_early_stops_the_workers(self, monkeypatch):
-        stats = self.fake_pool(monkeypatch, cpus=8, mask=8)
         assert list(core.parallel_map(abs, range(-50, 0), 3)) == list(range(50, 0, -1))
-        assert stats["stopped"] == 3
-        results = core.parallel_map(abs, range(-50, 0), 3)
-        assert next(results) == 50
-        results.close()
-        assert stats["stopped"] == 6
+        assert multiprocessing.active_children() == []
 
-    @pytest.mark.parametrize("cpus,mask,tasks,workers",
-                             [(4, 4, 50, 4), (8, 8, 3, 3), (8, 1, 50, 0)],
-                             ids=["4-50-4", "8-3-3", "8-50-0-mask1"])  # cpus-tasks-workers
-    def test_workers_capped_by_cpus_and_tasks(self, monkeypatch, cpus, mask, tasks, workers):
+    @pytest.mark.parametrize("cpus,tasks,workers", [(4, 50, 4), (8, 3, 3), (1, 50, 0)],
+                             ids=["4-50-4", "8-3-3", "1-50-0"])  # cpus-tasks-workers
+    def test_workers_capped_by_cpus_and_tasks(self, monkeypatch, tmp_path, cpus, tasks, workers):
         # Every worker is forked up front, so a huge job count must never
-        # reach the pool.  Each task goes to exactly one worker.  Only the
-        # CPUs in the affinity mask count: with one, no worker is built and
-        # the tasks run in process.
-        stats = self.fake_pool(monkeypatch, cpus, mask)
-        out = list(core.parallel_map(abs, range(-tasks, 0), 10**9))
-        assert out == list(range(tasks, 0, -1))
-        assert len(stats["slices"]) == workers
-        assert sorted(sum(stats["slices"], [])) == (list(range(-tasks, 0)) if workers else [])
+        # reach the pool.  Worker w logs its pid as it starts and runs tasks
+        # w, w + workers, ...; with one CPU every task runs in pytest itself.
+        log = tmp_path / "workers"
+        monkeypatch.setattr(core, "_serve", functools.partial(_log_pid, log, core._serve))
+        monkeypatch.setattr(core, "usable_cpus", lambda: cpus)
+        pids = list(core.parallel_map(_pid, range(tasks), 10**9))
+        started = sorted(map(int, log.read_text().split())) if log.exists() else []
+        assert len(started) == workers
+        assert sorted(set(pids)) == (started or [os.getpid()])
+        assert pids == [pids[i % max(workers, 1)] for i in range(tasks)]
+
+    def test_usable_cpus_reads_the_affinity_mask(self, monkeypatch):
+        # The real usable_cpus, imported before conftest pins it: a child held to
+        # one CPU counts one; without a mask, os.cpu_count(), or 1 if unknown.
+        code = ("import os; from goodint.core import usable_cpus; "
+                "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); print(usable_cpus())")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout) == (0, "1\n"), proc.stderr
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        assert usable_cpus() == 8
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert usable_cpus() == 1
 
     def test_import_loads_no_pool_machinery(self):
         # The pool is imported only when parallel_map starts one, so a

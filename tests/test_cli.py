@@ -38,7 +38,10 @@ def _pooled_enumerate():
     """A long `enumerate --jobs 2` in its own session, once it has written its
     first byte: yields the process and its two workers.  On exit the whole
     session is killed, since it outlives a parent that dies with workers
-    still running; so a check that no worker is left belongs in the block."""
+    still running; so a check that no worker is left belongs in the block.
+    The child caps its workers at its affinity mask, inherited from this one."""
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("two workers need two usable CPUs")
     with subprocess.Popen(
         [sys.executable, "-m", "goodint", "enumerate", "--a", "3", "--b", "5",
          "--max", "3000000", "--jobs", "2"],
@@ -571,6 +574,13 @@ class TestAudit:
         assert code == 1
 
 
+class _FailingStream(io.StringIO):
+    """A text stream whose every write fails."""
+
+    def write(self, text):
+        raise OSError("write failed")
+
+
 class TestClosedStdout:
     @pytest.mark.parametrize("argv", [
         ("audit", "--claim", "jitman-eq2", "--d-max", "2000"),
@@ -587,6 +597,25 @@ class TestClosedStdout:
             err = proc.stderr.read()
             assert proc.wait(timeout=20) == 0
         assert err == b""
+
+    def test_closed_stdout_exits_70(self):
+        # Python sets sys.stdout to None when fd 1 is closed at start.
+        argv = ["classify", "--a", "1", "--b", "2", "--ell", "5"]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(None), contextlib.redirect_stderr(err):
+            assert cli.main(argv) == 70
+        assert err.getvalue() == "goodint: stdout is closed\n"
+        proc = subprocess.run(["sh", "-c", '"$@" >&-', "sh", sys.executable, "-m", "goodint", *argv],
+                              capture_output=True, text=True, cwd=PKG_ROOT, timeout=60)
+        assert (proc.returncode, proc.stderr) == (70, "goodint: stdout is closed\n")
+
+    @pytest.mark.parametrize("stderr", [None, _FailingStream()], ids=["closed", "failing"])
+    def test_unwritable_stderr_changes_no_exit_code(self, stderr):
+        # The report is lost, and never falls back to stdout.
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(stderr):
+            assert cli.main(["enumerate", "--a", "2", "--b", "4", "--max", "5"]) == 2
+        assert out.getvalue() == ""
 
 
 class TestRuntimeFailure:
