@@ -12,6 +12,21 @@ from conftest import (EDGE_MODULI, EDGE_RESIDUES, factor_by_trial, negation_by_s
                       order_by_scan)
 
 
+class Counting(tuple):
+    """A tuple that appends each item to log as it is iterated, so a test
+    counts how far a loop over a constant table walks."""
+
+    def __new__(cls, items, log):
+        self = super().__new__(cls, items)
+        self.log = log
+        return self
+
+    def __iter__(self):
+        for item in tuple.__iter__(self):
+            self.log.append(item)
+            yield item
+
+
 class TestFactorize:
     def test_small(self):
         f = arith.factorize(60)
@@ -94,14 +109,7 @@ class TestFactorize:
         # 3 * 5 * (2**31 - 1) shares 3 and 5 with the trial primes: the loop
         # reads 3, 5 and then 7, where the gcd left is 1, and stops there.
         visited = []
-
-        class CountingPrimes(tuple):
-            def __iter__(self):
-                for p in tuple.__iter__(self):
-                    visited.append(p)
-                    yield p
-
-        monkeypatch.setattr(arith, "_TRIAL_PRIMES", CountingPrimes(arith._TRIAL_PRIMES))
+        monkeypatch.setattr(arith, "_TRIAL_PRIMES", Counting(arith._TRIAL_PRIMES, visited))
         assert arith.factorize(3 * 5 * (2**31 - 1)).odd_part == ((3, 1), (5, 1), (2**31 - 1, 1))
         assert visited == [3, 5, 7]
 
@@ -249,6 +257,17 @@ class TestIsPrime:
             assert x == 1 or any(pow(x, 2**i, n) == n - 1 for i in range(s))
         assert not arith.is_prime(n)
         assert arith.is_prime(61) and arith.is_prime(4759123129) and arith.is_prime(4759123151)
+
+    def test_base_set_picked_by_size(self, monkeypatch):
+        # The primes on either side of 4759123141 try every base of their own
+        # set and no other: three below it, Sinclair's seven from there on.
+        tried = []
+        for name in ("_MR_BASES_32", "_MR_BASES_64"):
+            monkeypatch.setattr(arith, name, Counting(getattr(arith, name), tried))
+        for n, count in ((4759123129, 3), (4759123151, 7)):
+            tried.clear()
+            assert arith.is_prime(n)
+            assert len(tried) == count, (n, tried)
 
 
 class TestPollardRhoBudget:

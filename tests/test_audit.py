@@ -216,13 +216,6 @@ class TestWholeOrderVariant:
         assert f.literal_verdict != f.oracle_verdict
         assert before["per_prime"] == [] and after["literal"] == before["literal"]
 
-    def test_every_literal_finding_verified_against_scan(self):
-        for f in audit.audit_odd_witness_variants(15, 15, 200)["literal"]:
-            pair = Pair(f.a, f.b)
-            bv = oracle.brute_force_verdict(pair, f.modulus)
-            lit = audit._literal_oddly_good(pair, f.modulus)
-            assert lit != bv.oddly_good
-
     def test_one_decision_per_instance(self, monkeypatch):
         # Both finding lists, rebuilt one instance at a time.
         pairs = [(a, b) for a in range(1, 10, 2) for b in range(1, 10, 2)
@@ -256,8 +249,8 @@ class TestWholeOrderVariant:
         # nothing with audit: x = -1 (mod 2**beta) and 2 || Ord_d(x), the
         # order found by a linear scan.  The truth is the definitional scan.
         expected = []
-        for a in range(1, 10, 2):
-            for b in range(1, 10, 2):
+        for a in range(1, 16, 2):
+            for b in range(1, 16, 2):
                 if math.gcd(a, b) != 1:
                     continue
                 for ell in range(4, 201, 4):
@@ -272,7 +265,7 @@ class TestWholeOrderVariant:
                     if lit != truth:
                         expected.append((a, b, ell, x, lit, truth))
         got = [(f.a, f.b, f.modulus, f.x, f.literal_verdict, f.oracle_verdict)
-               for f in audit.audit_odd_witness_variants(9, 9, 200)["literal"]]
+               for f in audit.audit_odd_witness_variants(15, 15, 200)["literal"]]
         assert got == expected
         assert expected
 
@@ -458,25 +451,6 @@ class TestCrossval:
         forked = audit.crossval_sweep(4, 4, 120, jobs=3)
         assert base == forked == []
 
-    def test_detects_a_seeded_defect(self):
-        # the sweep must actually be able to notice a wrong verdict
-        import goodint.classify as cl
-        real = cl.is_good
-
-        def broken(pair, ell):
-            v = real(pair, ell)
-            if ell == 7:
-                return type(v)(v.ell, not v.good, v.oddly_good, v.evenly_good,
-                               v.witness, v.method)
-            return v
-
-        cl.is_good = broken
-        try:
-            findings = audit.crossval_sweep(2, 3, 10)
-        finally:
-            cl.is_good = real
-        assert any(f.modulus == 7 for f in findings)
-
     def test_each_route_asked_once_per_instance(self, monkeypatch):
         calls = {}
         for module, name in ((oracle, "order_oracle_verdict"), (classify, "is_good"),
@@ -499,9 +473,10 @@ class TestCrossval:
         (classify, "is_good_via_sum_valuation", "sum_valuation", (3, 5)),
     ], ids=["order_oracle", "case_analysis", "sum_valuation"])
     @pytest.mark.parametrize("wrong", [
+        lambda v: v._replace(good=not v.good),
         lambda v: v._replace(oddly_good=not v.oddly_good),
         lambda v: v._replace(witness=(v.witness or 0) + 2),
-    ], ids=["oddly_good", "witness"])
+    ], ids=["good", "oddly_good", "witness"])
     def test_wrong_route_answer_is_one_finding(self, module, name, route, ab, wrong,
                                                monkeypatch):
         # One route's answer made wrong at one instance only.
@@ -515,3 +490,6 @@ class TestCrossval:
         (f,) = audit.crossval_sweep(5, 6, 60)
         assert (f.claim_id, f.a, f.b, f.modulus, f.note) == (
             audit.CLAIM_CUSTOM, *ab, 28, f"{route} disagrees with brute force")
+        # The finding carries the route's good bit, then brute force's.
+        v = real(Pair(*ab), 28)
+        assert (f.literal_verdict, f.oracle_verdict) == (wrong(v).good, v.good)

@@ -238,13 +238,6 @@ class TestEnumerate:
         assert [r["ell"] for r in recs] == list(range(1, 51))
         assert all(r["schema_version"] == 1 for r in recs)
 
-    def test_jobs_flag_does_not_change_bytes(self):
-        argv = ["enumerate", "--a", "3", "--b", "5", "--max", "2200"]
-        one = run_main([*argv, "--jobs", "1"])
-        four = run_main([*argv, "--jobs", "4"])
-        assert one[0] == four[0] == 0
-        assert one[1] == four[1]
-
     # The output's sha256, pinned, so that no change to the order kernel or
     # to the writer moves a byte.
     @pytest.mark.parametrize("argv, digest", [
@@ -260,18 +253,14 @@ class TestEnumerate:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_closed_stdout_stops_workers(self):
-        t0 = time.monotonic()
-        with subprocess.Popen(
-            [sys.executable, "-m", "goodint", "enumerate", "--a", "1", "--b", "2",
-             "--max", "600000", "--jobs", "2"],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, cwd=PKG_ROOT,
-        ) as proc:
-            assert len(proc.stdout.read(100)) == 100
+        with _pooled_enumerate() as (proc, workers):
+            t0 = time.monotonic()
             proc.stdout.close()
             err = proc.stderr.read()
             assert proc.wait(timeout=5) == 0
-        assert time.monotonic() - t0 < 5
-        assert err == b""
+            assert time.monotonic() - t0 < 5
+            assert err == b""
+            assert not any(_running(pid) for pid in workers)
 
     def test_sigint_exits_130_without_traceback(self):
         # Ctrl-C reaches the whole process group: parent and workers.
@@ -377,11 +366,11 @@ class TestEnumerateProperty:
     ])
     def test_two_jobs_same_bytes(self, a, b, max_ell, flt, capsys):
         outs = []
-        for jobs in ("1", "2"):
+        for jobs in ("1", "2", "4"):
             assert cli.main(["enumerate", "--a", str(a), "--b", str(b), "--max", str(max_ell),
                              "--filter", flt, "--jobs", jobs]) == 0
             outs.append(capsys.readouterr().out)
-        assert outs[0] == outs[1] == enumerate_expected(a, b, max_ell, flt)
+        assert outs == [enumerate_expected(a, b, max_ell, flt)] * 3
 
 
 class TestOrder:
@@ -471,35 +460,27 @@ class TestAudit:
             t = order_by_scan(x, d)
             assert r["note"] == f"order {t}; pow(x, {t // 2}, {d}) = {pow(x, t // 2, d)}"
 
-    def test_negation_stdout_matches_row_encoding(self):
-        claim = audit.CLAIM_NEGATION_FROM_EVEN_ORDER
-        expected = "".join(
-            cli._finding_line(claim, xi, 1, d, xi, False, True, True,
-                              f"order {ti}; pow(x, {ki}, {d}) = {yi}") + "\n"
-            for d, x, k, y, t in audit.audit_negation_from_even_order(201)
-            for xi, ki, yi, ti in zip(x.tolist(), k.tolist(), y.tolist(), t.tolist())
-        )
-        code, out, _ = run_main(["audit", "--claim", "jitman-eq2", "--d-max", "201"])
-        assert code == 0
-        assert expected and out == expected
-
     def test_negation_stdout_matches_json_dumps_past_three_digits(self):
-        # Up to 1009, x, k, y and the order run from 1 to 4 digits.  Every line
-        # of a modulus >= 1000 is checked, and a seeded sample of the rest.
+        # Up to 1011, x, k, y and the order run from 1 to 4 digits.  Every line
+        # of a modulus <= 201 or >= 1000 is checked, and a seeded sample of
+        # the rest.  1011 has rows of its own, so the bound is seen to be
+        # inclusive.
         rows = [
             (d, xi, ki, yi, ti)
-            for d, x, k, y, t in audit.audit_negation_from_even_order(1009)
+            for d, x, k, y, t in audit.audit_negation_from_even_order(1011)
             for xi, ki, yi, ti in zip(x.tolist(), k.tolist(), y.tolist(), t.tolist())
         ]
-        code, out, err = run_main(["audit", "--claim", "jitman-eq2", "--d-max", "1009"])
+        code, out, err = run_main(["audit", "--claim", "jitman-eq2", "--d-max", "1011"])
         assert code == 0 and err == ""
         lines = out.split("\n")
         assert lines.pop() == "" and len(lines) == len(rows)
+        assert rows[-1][0] == 1011
         small = sum(d < 1000 for d, *_ in rows)
-        picked = sorted(random.Random(1009).sample(range(small), 3000))
-        picked += range(small, len(rows))
-        assert len(picked) > 3000
-        for i in picked:
+        low = sum(d <= 201 for d, *_ in rows)
+        picked = {*range(low), *random.Random(1009).sample(range(small), 3000),
+                  *range(small, len(rows))}
+        assert low > 0 and len(picked) > 3000
+        for i in sorted(picked):
             d, xi, ki, yi, ti = rows[i]
             record = {
                 "schema_version": 1, "kind": "finding", "claim": "jitman_eq2",
@@ -1008,13 +989,3 @@ class TestFindingLine:
         f = audit._finding(audit.CLAIM_CUSTOM, -7, 4, 2**63 - 25, 0, good, truth,
                            note=f"{name} disagrees with brute force")
         assert finding_line(f) == dumps(finding_record(f))
-
-    def test_negation_rows(self):
-        rows = 0
-        for d, x, k, y, t in audit.audit_negation_from_even_order(201):
-            for xi, ki, yi, ti in zip(x.tolist(), k.tolist(), y.tolist(), t.tolist()):
-                f = audit._finding(audit.CLAIM_NEGATION_FROM_EVEN_ORDER, xi, 1, d, xi,
-                                   False, True, f"order {ti}; pow(x, {ki}, {d}) = {yi}")
-                assert finding_line(f) == dumps(finding_record(f))
-                rows += 1
-        assert rows > 0
