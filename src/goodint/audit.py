@@ -11,8 +11,10 @@ sweep runs the case-analysis classifiers against the definitional oracle
 and is expected to stay silent.
 
 The two pair audits, thm2_literal and cross-validation, share one driver:
-_sweep refuses out-of-bounds or overpriced sweeps before any work, and each
-pair's brute-force sweep is built once and handed to the audit's own check.
+_sweep refuses out-of-bounds or overpriced sweeps before any work, then
+sweeps contiguous groups of pairs, each by one grouped brute-force call that
+shares a power table per distinct base, and hands each pair's sweep to the
+audit's own check.
 """
 
 from __future__ import annotations
@@ -249,9 +251,11 @@ def _negation_block(block):
 # fixed set-up of a pair (its Pair, scan tables and task) as 15000.  Fitted
 # on crossval pairs drawn from a, b <= 1000, one core of a 2-core Xeon: a
 # unit is about 6.4 ns.  The largest accepted crossval sweeps at ell_max 1,
-# 57, 500 and 2000 (a_max = b_max = 612, 201, 65, 26) take 6.0, 10.3, 10.9
-# and 11.6 s through the CLI (median of 5 runs); at ell_max 1 a pair's scan
-# table has 2 rows, not 32, so that sweep costs less than it is priced.
+# 57, 500 and 2000 (a_max = b_max = 612, 201, 65, 26) took 6.0, 10.3, 10.9
+# and 11.6 s through the CLI (median of 5 runs) when each pair was swept
+# alone.  Sweeping pairs in groups that share their bases' tables made most
+# sweeps cheaper than priced, the ell_max 1 ones most; the price was not
+# re-fitted, as it is the refusal rule, not a time estimate.
 _SWEEP_PER_ELL = 2500
 _SWEEP_PER_PAIR = 15000
 _SWEEP_WORK_LIMIT = 2 * 10**9
@@ -264,7 +268,9 @@ def _sweep(a_max: int, b_max: int, ell_max: int, pairs_for, check,
     Refuses a_max, b_max outside 0..10**3 or ell_max outside 1..10**4 before
     any pair is built, then a sweep of more than 2*10**9 work units,
     pairs * (ell_max * (ell_max + 2500) + 15000), before any scan.  Runs one
-    task per pair across jobs processes and concatenates the findings.
+    task per group of _sweep_groups across jobs processes, each group swept
+    by one oracle.brute_force_sweeps call, and concatenates the findings in
+    pair order.
     """
     if not 1 <= ell_max <= 10**4:
         raise ValueError(f"ell_max must be in 1..10**4, got {ell_max}")
@@ -276,14 +282,43 @@ def _sweep(a_max: int, b_max: int, ell_max: int, pairs_for, check,
     if len(pairs) * per_pair > _SWEEP_WORK_LIMIT:
         raise ValueError(f"sweep too large: {len(pairs)} pairs * {per_pair} work units "
                          f"exceeds {_SWEEP_WORK_LIMIT}")
-    tasks = [(a, b, ell_max, check) for a, b in pairs]
-    return [f for found in parallel_map(_sweep_pair, tasks, jobs) for f in found]
+    tasks = [(group, ell_max, check) for group in _sweep_groups(pairs, ell_max, jobs)]
+    return [f for found in parallel_map(_sweep_group, tasks, jobs) for f in found]
 
 
-def _sweep_pair(task) -> list[AuditFinding]:
-    a, b, ell_max, check = task
-    pair = Pair(a, b)
-    return check(pair, oracle.brute_force_sweep(pair, ell_max))
+# Bytes a sweep task may allocate beyond one pair's sweep at the same
+# ell_max (oracle.sweep_bytes): a task's peak RSS grows by about as much.  At
+# 1 MiB every largest accepted sweep peaks within 5 % of the RSS it took
+# with one task per pair.
+_SWEEP_GROUP_EXTRA_BYTES = 1 << 20
+
+
+def _sweep_groups(pairs: list, ell_max: int, jobs: int) -> list[list]:
+    """pairs cut into contiguous groups: min(max(jobs, 1), len(pairs)) equal
+    runs, each cut again wherever the next pair would take its group past
+    one pair's sweep_bytes plus _SWEEP_GROUP_EXTRA_BYTES."""
+    limit = oracle.sweep_bytes(2, 1, ell_max) + _SWEEP_GROUP_EXTRA_BYTES
+    n = min(max(jobs, 1), len(pairs))
+    groups = []
+    for c in range(n):
+        group, bases = [], set()
+        for pair in pairs[len(pairs) * c // n:len(pairs) * (c + 1) // n]:
+            a, b = pair
+            grown = len(bases) + (a not in bases) + (b != a and b not in bases)
+            if group and oracle.sweep_bytes(grown, len(group) + 1, ell_max) > limit:
+                groups.append(group)
+                group, bases = [], set()
+            group.append(pair)
+            bases.update(pair)
+        groups.append(group)
+    return groups
+
+
+def _sweep_group(task) -> list[AuditFinding]:
+    group, ell_max, check = task
+    pairs = [Pair(a, b) for a, b in group]
+    return [f for pair, sweep in zip(pairs, oracle.brute_force_sweeps(pairs, ell_max))
+            for f in check(pair, sweep)]
 
 
 # Theorem 2: the whole-modulus vs the per-prime order condition for odd witnesses.

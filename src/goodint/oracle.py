@@ -9,6 +9,7 @@ package is validated against.
 from __future__ import annotations
 
 import math
+from typing import Iterator
 
 import numpy as np
 
@@ -84,39 +85,76 @@ def _verdict(ell: int, w_odd: int, w_even: int) -> Verdict:
                           "brute_force", None, None))
 
 
-# Exponents per block of brute_force_sweep, at most: a power of two, as its
-# power table is built by doubling, and even, so every block starts at an odd k.
+# Exponents per block of a sweep, at most: a power of two, as its power
+# tables are built by doubling, and even, so every block starts at an odd k.
 _BLOCK = 32
-# Largest ell_max brute_force_sweep accepts: 46340**2 < 2**31 <= 46341**2, so
-# a product of two residues below ell_max fits int32.
+# Largest ell_max a sweep accepts: 2 * 46340**2 < 2**32 <= 2 * 46341**2, so
+# the sum of two products of residues below ell_max fits uint32.
 _SWEEP_ELL_CAP = 46340
+# Bytes of the Python objects a swept pair holds: its Pair (about 105 on
+# CPython 3.11), its tuple of base indices (56) and two list slots.
+_PAIR_BYTES = 200
+# Bytes of the Python objects per ell in a pair's verdict list: the Verdict
+# (112), its list slot and up to two ints (ell and the witness, 28 each).
+_VERDICT_BYTES = 180
+
+
+def sweep_bytes(bases: int, pairs: int, ell_max: int) -> int:
+    """Bytes brute_force_sweeps allocates at most over bases distinct bases,
+    the pairs' Pair objects included.
+
+    Per base: its table of B rows, as many unreduced products and two
+    running rows.  Per pair: its Pair, its base indices and its two
+    first-hit rows.  Once: the moduli, one pair's sum and hit rows, one
+    pair's verdict list, and the buffers numpy iterates a ufunc through
+    when an operand is strided or broadcast (np.getbufsize() elements for
+    each of three operands).  Every element takes 4 bytes, but for the
+    1-byte hit rows.
+    """
+    B = min(_BLOCK, 1 << (2 * ell_max - 1).bit_length())
+    return (4 * ell_max * (bases * (2 * B + 2) + 2 * pairs + B + 2)
+            + (B + _VERDICT_BYTES) * ell_max + _PAIR_BYTES * pairs + 12 * np.getbufsize())
 
 
 def brute_force_sweep(pair: Pair, ell_max: int) -> list[Verdict]:
     """brute_force_verdict for every ell in 1..ell_max, vectorized.
 
-    k is a hit for ell when ell | a**k + b**k, tested as ell | a**k - (-b**k)
-    on residues.  The exponent advances in blocks of B steps, B the smaller
-    of _BLOCK and the least power of two >= 2*ell_max.  A table of a**j and
-    b**j mod ell for j = 1..B is built once by doubling; each block
-    multiplies its a and b rows by the running a**(k0-1) and -b**(k0-1) of
-    its first exponent k0, one (B x moduli) product each, and reduces their
-    difference once.  The moduli ascend, so a block works on the suffix still
-    live at k0, from index (k0 - 1) // 2: each modulus is scanned to the end
-    of the block that passes its own bound 2*ell, without early stops.  The
-    smallest odd and even hit of each modulus is kept: a block writes only
-    the parities it hits that no earlier block hit, each at its first hit row.
+    The one-pair call of brute_force_sweeps: a and b of any size, and a
+    ValueError for an ell_max below 0 or above 46340 before any array is
+    built.
+    """
+    return next(brute_force_sweeps([pair], ell_max))
+
+
+def brute_force_sweeps(pairs: list[Pair], ell_max: int) -> Iterator[list[Verdict]]:
+    """brute_force_sweep of each pair in turn, over one table per distinct base.
+
+    k is a hit for ell when ell | a**k + b**k.  The exponent advances in
+    blocks of B steps, B the smaller of _BLOCK and the least power of two
+    >= 2*ell_max.  A table of v**j mod ell for j = 1..B is built once by
+    doubling for each distinct base v among the pairs' a and b; each block
+    multiplies every table by the running v**(k0-1) of its first exponent k0,
+    one (B x moduli) product per base, and then tests each pair's sum of
+    its two bases' products with one remainder.  The moduli ascend, so a
+    block works on the suffix still live at k0, from index (k0 - 1) // 2:
+    each modulus is scanned to the end of the block that passes its own
+    bound 2*ell, without early stops.  The smallest odd and even hit of each
+    modulus is kept: a block writes only the parities it hits that no
+    earlier block hit, each at its first hit row.  The verdicts are yielded
+    once every block is done, one pair's list at a time, in pair order.
 
     Hits past 2*ell change neither: if gcd(ab, ell) > 1, a prime of ell
     divides exactly one of a, b and no k is a hit; otherwise (a**k, b**k)
     mod ell is purely periodic with some period P <= ell, so a hit k > 2*ell
     has a smaller hit k - 2*P of the same parity.
 
-    a and b are reduced into each modulus with Python ints, so operands of
-    any size are accepted.  Every array is int32: residues are below ell,
-    so each product, and the difference of two, lies strictly between
-    -2**31 and 2**31 for ell_max <= 46340; a larger ell_max is refused
-    before any array is built.
+    Bases are reduced into each modulus with Python ints, so operands of
+    any size are accepted.  Every array is uint32 (an int32 operand would
+    promote the sums to int64): residues are below ell, so each product is
+    below 46340**2 and the sum of two below 2**32 for ell_max <= 46340; a
+    larger ell_max is refused before any array is built.  With the pairs'
+    Pair objects, a sweep allocates at most sweep_bytes(bases, len(pairs),
+    ell_max) bytes.
     """
     if ell_max < 0:
         raise ValueError(f"ell_max must be non-negative, got {ell_max}")
@@ -124,32 +162,40 @@ def brute_force_sweep(pair: Pair, ell_max: int) -> list[Verdict]:
         raise ValueError(f"ell_max must be at most {_SWEEP_ELL_CAP}, got {ell_max}")
     B = min(_BLOCK, 1 << (2 * ell_max - 1).bit_length())
     half = B // 2
-    mods = np.arange(1, ell_max + 1, dtype=np.int32)
-    # pows[0] row j - 1 holds a**j mod ell, pows[1] the same for b; rows
-    # s..2s-1 are rows 0..s-1 times row s-1, a**(s+i) = a**i * a**s.
-    pows = np.empty((2, B, ell_max), dtype=np.int32)
-    for tab, v in zip(pows, (pair.a, pair.b)):
-        tab[0] = np.fromiter((v % m for m in range(1, ell_max + 1)), np.int32, ell_max)
+    mods = np.arange(1, ell_max + 1, dtype=np.uint32)
+    index = {}
+    sides = [(index.setdefault(p.a, len(index)), index.setdefault(p.b, len(index)))
+             for p in pairs]
+    # pows[i] row j - 1 holds v**j mod ell for the i-th distinct base v; rows
+    # s..2s-1 are rows 0..s-1 times row s-1, v**(s+i) = v**i * v**s.
+    pows = np.empty((len(index), B, ell_max), dtype=np.uint32)
+    for tab, v in zip(pows, index):
+        tab[0] = np.fromiter((v % m for m in range(1, ell_max + 1)), np.uint32, ell_max)
+    prods = np.empty(pows.size, dtype=np.uint32)  # unreduced products, shaped as used
     s = 1
     while s < B:
-        np.remainder(pows[:, :s] * pows[:, s - 1:s], mods, out=pows[:, s:2 * s])
+        doubled = prods[:len(pows) * s * ell_max].reshape(len(pows), s, ell_max)
+        np.multiply(pows[:, :s], pows[:, s - 1:s], out=doubled)
+        np.remainder(doubled, mods, out=pows[:, s:2 * s])
         s *= 2
-    a_pow, b_pow = pows
-    first = np.zeros((2, ell_max), dtype=np.int32)  # smallest odd, even hit; 0 for none
-    pa = 1 % mods          # a**(k0 - 1) mod ell
-    pn = mods - 1          # -b**(k0 - 1) mod ell
+    first = np.zeros((len(sides), 2, ell_max), dtype=np.uint32)  # smallest odd, even hit; 0 for none
+    run = np.broadcast_to(1 % mods, (len(index), ell_max))  # v**(k0 - 1) mod ell
+    total = np.empty(B * ell_max, dtype=np.uint32)
     for k0 in range(1, 2 * ell_max + 1, B):
         lo = (k0 - 1) // 2
         m = mods[lo:]
-        ak = a_pow[:, lo:] * pa
-        nbk = b_pow[:, lo:] * pn
+        live = ell_max - lo
+        block = prods[:len(pows) * B * live].reshape(len(pows), B, live)
+        np.multiply(pows[:, :, lo:], run[:, None], out=block)
         # The next block starts half columns further on.
-        pa = ak[-1, half:] % m[half:]
-        pn = nbk[-1, half:] % m[half:]
-        ak -= nbk
-        # C remainder: its sign differs from %, but only zero matters.
-        # Row pairs (k odd, k even): hit[j, i] holds k = k0 + 2j + i.
-        hit = (np.fmod(ak, m, out=ak) == 0).reshape(half, 2, -1)
-        par, col = np.nonzero(hit.any(axis=0) & (first[:, lo:] == 0))
-        first[par, col + lo] = k0 + par + 2 * hit[:, par, col].argmax(axis=0)
-    return list(map(_verdict, range(1, ell_max + 1), *first.tolist()))
+        run = block[:, -1, half:] % m[half:]
+        u = total[:B * live].reshape(B, live)
+        for found, (i, j) in zip(first[:, :, lo:], sides):
+            np.add(block[i], block[j], out=u)
+            # Row pairs (k odd, k even): hit[r, p] holds k = k0 + 2r + p.
+            hit = (np.remainder(u, m, out=u) == 0).reshape(half, 2, -1)
+            par, col = np.nonzero(hit.any(axis=0) & (found == 0))
+            found[par, col] = k0 + par + 2 * hit[:, par, col].argmax(axis=0)
+    ells = range(1, ell_max + 1)
+    for rows in first:
+        yield list(map(_verdict, ells, *rows.tolist()))

@@ -6,6 +6,7 @@ import pickle
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -277,7 +278,7 @@ class TestSweepBounds:
                                         (1000, 1000, 10**4), (100, 100, 4000),
                                         (1000, 1000, 57), (1000, 1000, 1)])
     def test_rejected_before_any_work(self, sweep, bounds, monkeypatch):
-        monkeypatch.setattr(oracle, "brute_force_sweep", None)  # any work would fail
+        monkeypatch.setattr(oracle, "brute_force_sweeps", None)  # any work would fail
         with pytest.raises(ValueError):
             sweep(*bounds)
 
@@ -288,9 +289,75 @@ class TestSweepBounds:
         t0 = time.perf_counter()
         assert audit.crossval_sweep(612, 612, 1) == []
         assert time.perf_counter() - t0 <= 60.0
-        monkeypatch.setattr(oracle, "brute_force_sweep", None)  # any work would fail
+        monkeypatch.setattr(oracle, "brute_force_sweeps", None)  # any work would fail
         with pytest.raises(ValueError):
             audit.crossval_sweep(613, 613, 1)
+
+
+class TestSweepGroups:
+    def test_one_table_row_per_distinct_base(self, monkeypatch):
+        # Each distinct base's first row is reduced by one np.fromiter, and
+        # its table is the 3-D np.empty, one (B x ell_max) slice per base.
+        rows, tables = [], []
+
+        class CountingNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def fromiter(self, *args):
+                rows.append(args[2])
+                return np.fromiter(*args)
+
+            def empty(self, shape, dtype):
+                if isinstance(shape, tuple):
+                    tables.append(shape)
+                return np.empty(shape, dtype)
+
+        monkeypatch.setattr(oracle, "np", CountingNumpy())
+        assert audit.crossval_sweep(2, 3, 100) == []
+        assert rows == [100] * 3 and tables == [(3, 32, 100)]
+        rows.clear(), tables.clear()
+        assert audit.audit_odd_witness_variants(9, 9, 60)["per_prime"] == []
+        assert rows == [60] * 5 and tables == [(5, 32, 60)]
+        tables.clear()
+        audit.crossval_sweep(2, 3, 1)
+        assert tables == [(3, 2, 1)]
+
+    @pytest.mark.parametrize("pairs_for, a_max, b_max, ell_max", [
+        (audit._crossval_pairs, 612, 612, 1), (audit._crossval_pairs, 201, 201, 57),
+        (audit._crossval_pairs, 65, 65, 500), (audit._crossval_pairs, 26, 26, 2000),
+        (audit._odd_witness_pairs, 750, 750, 1), (audit._odd_witness_pairs, 32, 32, 2000),
+    ])
+    @pytest.mark.parametrize("jobs", [1, 3])
+    def test_largest_sweeps_form_groups_within_budget(self, pairs_for, a_max, b_max,
+                                                      ell_max, jobs):
+        # README's largest accepted sweeps, grouped without any scan.
+        pairs = pairs_for(a_max, b_max)
+        groups = audit._sweep_groups(pairs, ell_max, jobs)
+        assert [p for group in groups for p in group] == pairs
+        assert len(groups) >= jobs
+        limit = oracle.sweep_bytes(2, 1, ell_max) + audit._SWEEP_GROUP_EXTRA_BYTES
+        for group in groups:
+            bases = len({v for pair in group for v in pair})
+            assert len(group) == 1 or oracle.sweep_bytes(bases, len(group), ell_max) <= limit
+
+    @pytest.mark.parametrize("pairs_for, a_max, b_max, ell_max", [
+        (audit._crossval_pairs, 2, 3, 1100), (audit._crossval_pairs, 201, 201, 57),
+        (audit._crossval_pairs, 65, 65, 500), (audit._odd_witness_pairs, 80, 80, 1),
+    ])
+    def test_group_allocates_within_its_bytes(self, pairs_for, a_max, b_max, ell_max):
+        # numpy reports its array buffers to tracemalloc.
+        group = audit._sweep_groups(pairs_for(a_max, b_max), ell_max, 1)[0]
+        tracemalloc.start()
+        try:
+            pairs = [Pair(a, b) for a, b in group]
+            for swept in oracle.brute_force_sweeps(pairs, ell_max):
+                del swept
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        bases = len({v for pair in group for v in pair})
+        assert peak <= oracle.sweep_bytes(bases, len(group), ell_max)
 
 
 def _pid(task) -> int:
@@ -450,6 +517,11 @@ class TestCrossval:
         base = audit.crossval_sweep(4, 4, 120)
         forked = audit.crossval_sweep(4, 4, 120, jobs=3)
         assert base == forked == []
+        # Findings come back in pair order across groups and workers.
+        base = audit.audit_odd_witness_variants(15, 15, 200)
+        forked = audit.audit_odd_witness_variants(15, 15, 200, jobs=3)
+        assert len(base["literal"]) == 20
+        assert base == forked
 
     def test_each_route_asked_once_per_instance(self, monkeypatch):
         calls = {}

@@ -516,7 +516,7 @@ class TestAudit:
                                             ("--a-max", "1001"), ("--b-max", "1001"),
                                             ("--a-max=-1", None), ("--b-max=-1", None)])
     def test_sweep_bounds_refused_up_front(self, claim, flag, value, monkeypatch):
-        refuse_work(monkeypatch, oracle, "brute_force_sweep")
+        refuse_work(monkeypatch, oracle, "brute_force_sweeps")
         bound = [flag] if value is None else [flag, value]
         t0 = time.monotonic()
         code, out, _ = run_main(["audit", "--claim", claim, *bound, "--jobs", "1"])
@@ -526,7 +526,7 @@ class TestAudit:
     @pytest.mark.parametrize("claim", ["crossval", "thm2-literal"])
     def test_oversized_sweep_refused(self, claim, monkeypatch):
         # Each bound is in range, but the sweep is far above its work limit.
-        refuse_work(monkeypatch, oracle, "brute_force_sweep")
+        refuse_work(monkeypatch, oracle, "brute_force_sweeps")
         t0 = time.monotonic()
         code, out, _ = run_main(["audit", "--claim", claim, "--a-max", "1000",
                                  "--b-max", "1000", "--ell-max", "10000", "--jobs", "1"])
@@ -538,7 +538,7 @@ class TestAudit:
     def test_small_ell_max_sweep_priced(self, claim, ell_max, monkeypatch, capsys):
         # 304 191 (crossval) or 202 661 pairs: minutes of work at ell_max 57
         # and tens of seconds at ell_max 1, most of it per ell and per pair.
-        refuse_work(monkeypatch, oracle, "brute_force_sweep")
+        refuse_work(monkeypatch, oracle, "brute_force_sweeps")
         code = cli.main(["audit", "--claim", claim, "--a-max", "1000", "--b-max", "1000",
                          "--ell-max", ell_max, "--jobs", "1"])
         assert code == 2 and capsys.readouterr().out == ""
@@ -788,7 +788,7 @@ def check_contract(argv, code, out, err):
 
 
 # Integers at and around every bound the CLI checks: the sweep bounds 1000
-# and 10**4, brute_force_sweep's int32 bound 46 340, brute force's 10**6 in
+# and 10**4, brute_force_sweep's uint32 bound 46 340, brute force's 10**6 in
 # classify, factorize's 2**63, and jitman-eq1's 20.
 EDGES = (0, 1, -1, 2, 3, 5, 20, 21, 60, 1000, 1001, 10**4, 10**4 + 1, 46340, 46341,
          10**6, 10**6 + 1, 2**63 - 2, 2**63 - 1, 2**63, 2**63 + 1, -2**63)

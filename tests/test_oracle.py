@@ -61,8 +61,10 @@ class TestBruteForce:
                 monkeypatch.setattr(arith, name, refuse)
         with pytest.raises(AssertionError):
             arith.factorize(12)
-        for pair in pairs:
+        grouped = oracle.brute_force_sweeps(pairs, 300)
+        for pair, in_group in zip(pairs, grouped, strict=True):
             swept = oracle.brute_force_sweep(pair, 300)
+            assert in_group == swept
             for ell in range(1, 301):
                 assert oracle.brute_force_verdict(pair, ell) == swept[ell - 1]
 
@@ -166,13 +168,16 @@ class TestEquivalence:
 
 class TestSweep:
     def test_matches_scalar(self):
-        # The last two operands do not fit numpy's int64.
-        for a, b in [(1, 2), (3, 5), (11, 1), (2, 9), (-3, 5), (3**40, 2), (-(2**64) - 1, 3)]:
-            pair = Pair(a, b)
+        # The last two operands do not fit numpy's int64.  Swept as one group,
+        # 1, 2 and 3 are a in one pair and b in another, and 5 is b in two.
+        pairs = [Pair(a, b) for a, b in [(1, 2), (3, 5), (11, 1), (2, 9), (-3, 5),
+                                         (3**40, 2), (-(2**64) - 1, 3)]]
+        grouped = oracle.brute_force_sweeps(pairs, 300)
+        for pair, in_group in zip(pairs, grouped, strict=True):
             swept = oracle.brute_force_sweep(pair, 300)
-            assert len(swept) == 300
+            assert len(swept) == 300 and in_group == swept
             for ell in range(1, 301):
-                assert swept[ell - 1] == oracle.brute_force_verdict(pair, ell), (a, b, ell)
+                assert swept[ell - 1] == oracle.brute_force_verdict(pair, ell), (pair, ell)
 
     def test_empty_range(self):
         assert oracle.brute_force_sweep(Pair(1, 2), 0) == []
@@ -186,32 +191,43 @@ class TestSweep:
         # B/2 +- 1 and B +- 1 ends the scan inside, at the end of or just past
         # a block, and 2B spans two.  (6, 35) has moduli sharing a factor with
         # ab, which never hit; it and (2, 1) hit past 2*ell inside a block,
-        # where the scan keeps scanning to the block's end.
+        # where the scan keeps scanning to the block's end.  The pairs are also
+        # swept as one group, where 1 and -1 are each a and b.
         B = oracle._BLOCK
-        for a, b in [(1, -1), (-1, 1), (2, 1), (-7, 4), (6, 35)]:
-            pair = Pair(a, b)
+        pairs = [Pair(a, b) for a, b in [(1, -1), (-1, 1), (2, 1), (-7, 4), (6, 35)]]
+        ell_maxes = (1, 2, 3, 4, 5, 6, 8, 9, B // 2 - 1, B // 2, B // 2 + 1,
+                     B - 1, B, B + 1, 2 * B, 299, 300)
+        grouped = {n: list(oracle.brute_force_sweeps(pairs, n)) for n in ell_maxes}
+        for i, pair in enumerate(pairs):
+            a, b = pair.a, pair.b
             scanned = [witness_by_scan(a, b, ell, 4 * ell) for ell in range(1, 301)]
-            for ell_max in (1, 2, 3, 4, 5, 6, 8, 9, B // 2 - 1, B // 2, B // 2 + 1,
-                            B - 1, B, B + 1, 2 * B, 299, 300):
+            for ell_max in ell_maxes:
                 swept = oracle.brute_force_sweep(pair, ell_max)
+                assert grouped[ell_max][i] == swept
                 assert [v.ell for v in swept] == list(range(1, ell_max + 1))
                 for v, (w, w_odd, w_even) in zip(swept, scanned):
                     assert v == oracle.brute_force_verdict(pair, v.ell), (a, b, ell_max, v.ell)
                     assert (v.witness, v.oddly_good, v.evenly_good) == (
                         w, w_odd is not None, w_even is not None), (a, b, ell_max, v.ell)
 
-    @given(large_coprime_pairs, st.integers(1, 400))
+    @given(st.lists(large_coprime_pairs, min_size=1, max_size=2), st.integers(1, 400))
     @settings(max_examples=100, deadline=None)
-    def test_matches_scalar_for_large_and_negative_pairs(self, ab, n):
+    def test_matches_scalar_for_large_and_negative_pairs(self, abs_, n):
         # The sweep and the scalar scan reduce a and b into each modulus
-        # separately: both must land on the same residues.
-        pair = Pair(*ab)
-        assert oracle.brute_force_sweep(pair, n) == [
-            oracle.brute_force_verdict(pair, ell) for ell in range(1, n + 1)]
+        # separately: both must land on the same residues.  The group holds
+        # each pair and its reverse, whose verdicts are the same, so every
+        # base is a in one pair and b in another.
+        pairs = [Pair(a, b) for a, b in abs_]
+        expected = [[oracle.brute_force_verdict(pair, ell) for ell in range(1, n + 1)]
+                    for pair in pairs]
+        assert oracle.brute_force_sweep(pairs[0], n) == expected[0]
+        group = pairs + [Pair(b, a) for a, b in abs_]
+        assert list(oracle.brute_force_sweeps(group, n)) == expected + expected
 
     def test_cap_keeps_products_in_int32(self):
         cap = oracle._SWEEP_ELL_CAP
         assert cap**2 < 2**31 <= (cap + 1) ** 2
+        assert 2 * cap**2 < 2**32 <= 2 * (cap + 1) ** 2
 
     @pytest.mark.parametrize("ell_max", [-1, 46341, 2**31])
     def test_refuses_bad_ell_max_before_allocating(self, monkeypatch, ell_max):
