@@ -267,10 +267,10 @@ def _sweep(a_max: int, b_max: int, ell_max: int, pairs_for, check,
 
     Refuses a_max, b_max outside 0..10**3 or ell_max outside 1..10**4 before
     any pair is built, then a sweep of more than 2*10**9 work units,
-    pairs * (ell_max * (ell_max + 2500) + 15000), before any scan.  Runs one
-    task per group of _sweep_groups across jobs processes, each group swept
-    by one oracle.brute_force_sweeps call, and concatenates the findings in
-    pair order.
+    pairs * (ell_max * (ell_max + 2500) + 15000), before any scan.  Cuts the
+    pairs into min(max(jobs, 1), len(pairs)) equal runs, sweeps each
+    oracle.sweep_groups group of a run as one task across jobs processes,
+    and concatenates the findings in pair order.
     """
     if not 1 <= ell_max <= 10**4:
         raise ValueError(f"ell_max must be in 1..10**4, got {ell_max}")
@@ -282,36 +282,10 @@ def _sweep(a_max: int, b_max: int, ell_max: int, pairs_for, check,
     if len(pairs) * per_pair > _SWEEP_WORK_LIMIT:
         raise ValueError(f"sweep too large: {len(pairs)} pairs * {per_pair} work units "
                          f"exceeds {_SWEEP_WORK_LIMIT}")
-    tasks = [(group, ell_max, check) for group in _sweep_groups(pairs, ell_max, jobs)]
-    return [f for found in parallel_map(_sweep_group, tasks, jobs) for f in found]
-
-
-# Bytes a sweep task may allocate beyond one pair's sweep at the same
-# ell_max (oracle.sweep_bytes): a task's peak RSS grows by about as much.  At
-# 1 MiB every largest accepted sweep peaks within 5 % of the RSS it took
-# with one task per pair.
-_SWEEP_GROUP_EXTRA_BYTES = 1 << 20
-
-
-def _sweep_groups(pairs: list, ell_max: int, jobs: int) -> list[list]:
-    """pairs cut into contiguous groups: min(max(jobs, 1), len(pairs)) equal
-    runs, each cut again wherever the next pair would take its group past
-    one pair's sweep_bytes plus _SWEEP_GROUP_EXTRA_BYTES."""
-    limit = oracle.sweep_bytes(2, 1, ell_max) + _SWEEP_GROUP_EXTRA_BYTES
     n = min(max(jobs, 1), len(pairs))
-    groups = []
-    for c in range(n):
-        group, bases = [], set()
-        for pair in pairs[len(pairs) * c // n:len(pairs) * (c + 1) // n]:
-            a, b = pair
-            grown = len(bases) + (a not in bases) + (b != a and b not in bases)
-            if group and oracle.sweep_bytes(grown, len(group) + 1, ell_max) > limit:
-                groups.append(group)
-                group, bases = [], set()
-            group.append(pair)
-            bases.update(pair)
-        groups.append(group)
-    return groups
+    runs = [pairs[len(pairs) * c // n:len(pairs) * (c + 1) // n] for c in range(n)]
+    tasks = [(group, ell_max, check) for run in runs for group in oracle.sweep_groups(run, ell_max)]
+    return [f for found in parallel_map(_sweep_group, tasks, jobs) for f in found]
 
 
 def _sweep_group(task) -> list[AuditFinding]:

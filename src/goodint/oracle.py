@@ -91,29 +91,37 @@ _BLOCK = 32
 # Largest ell_max a sweep accepts: 2 * 46340**2 < 2**32 <= 2 * 46341**2, so
 # the sum of two products of residues below ell_max fits uint32.
 _SWEEP_ELL_CAP = 46340
-# Bytes of the Python objects a swept pair holds: its Pair (about 105 on
-# CPython 3.11), its tuple of base indices (56) and two list slots.
-_PAIR_BYTES = 200
-# Bytes of the Python objects per ell in a pair's verdict list: the Verdict
-# (112), its list slot and up to two ints (ell and the witness, 28 each).
-_VERDICT_BYTES = 180
+# Bytes of a swept pair's Python objects on CPython 3.11: its Pair (about 170
+# with bases past 256), its tuple of base indices (64) and two list slots.
+_PAIR_BYTES = 240
+# Bytes a group of pairs may allocate beyond one pair's sweep: a sweep task's
+# peak RSS grows by about as much.  At 1 MiB every largest accepted sweep
+# peaks within 5 % of the RSS it took with one pair per task.
+_GROUP_EXTRA_BYTES = 1 << 20
 
 
-def sweep_bytes(bases: int, pairs: int, ell_max: int) -> int:
-    """Bytes brute_force_sweeps allocates at most over bases distinct bases,
-    the pairs' Pair objects included.
+def sweep_groups(pairs: list, ell_max: int) -> list[list]:
+    """pairs (a, b) cut into contiguous groups for brute_force_sweeps.
 
-    Per base: its table of B rows, as many unreduced products and two
-    running rows.  Per pair: its Pair, its base indices and its two
-    first-hit rows.  Once: the moduli, one pair's sum and hit rows, one
-    pair's verdict list, and the buffers numpy iterates a ufunc through
-    when an operand is strided or broadcast (np.getbufsize() elements for
-    each of three operands).  Every element takes 4 bytes, but for the
-    1-byte hit rows.
+    A cut falls wherever the next pair would make its group allocate more
+    than one pair's sweep plus _GROUP_EXTRA_BYTES: 4 * ell_max * (2B + 2)
+    per distinct base past two (its table, products and running rows),
+    8 * ell_max + _PAIR_BYTES per pair past one (its first-hit rows and
+    Python objects), and numpy's ufunc buffers, np.getbufsize() elements for
+    each of three 4-byte operands, which one pair's arrays may not fill.
     """
     B = min(_BLOCK, 1 << (2 * ell_max - 1).bit_length())
-    return (4 * ell_max * (bases * (2 * B + 2) + 2 * pairs + B + 2)
-            + (B + _VERDICT_BYTES) * ell_max + _PAIR_BYTES * pairs + 12 * np.getbufsize())
+    per_base, per_pair = 4 * ell_max * (2 * B + 2), 8 * ell_max + _PAIR_BYTES
+    limit = _GROUP_EXTRA_BYTES - 12 * np.getbufsize()
+    groups, group, bases = [], [], set()
+    for pair in pairs:
+        grown = len(bases) + len({*pair} - bases)
+        if group and (grown - 2) * per_base + len(group) * per_pair > limit:
+            groups.append(group)
+            group, bases = [], set()
+        group.append(pair)
+        bases.update(pair)
+    return groups + [group] if group else groups
 
 
 def brute_force_sweep(pair: Pair, ell_max: int) -> list[Verdict]:
@@ -152,9 +160,7 @@ def brute_force_sweeps(pairs: list[Pair], ell_max: int) -> Iterator[list[Verdict
     any size are accepted.  Every array is uint32 (an int32 operand would
     promote the sums to int64): residues are below ell, so each product is
     below 46340**2 and the sum of two below 2**32 for ell_max <= 46340; a
-    larger ell_max is refused before any array is built.  With the pairs'
-    Pair objects, a sweep allocates at most sweep_bytes(bases, len(pairs),
-    ell_max) bytes.
+    larger ell_max is refused before any array is built.
     """
     if ell_max < 0:
         raise ValueError(f"ell_max must be non-negative, got {ell_max}")

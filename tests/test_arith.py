@@ -283,6 +283,15 @@ class TestPollardRhoBudget:
             arith._pollard_rho(p)
         assert time.perf_counter() - start < 5
 
+    def test_semiprime_split_within_its_steps(self, monkeypatch):
+        # Brent's walk splits 1000003 * 1000033 in exactly 1022 steps: a
+        # limit one step shorter gives up.
+        monkeypatch.setattr(arith, "_RHO_STEP_LIMIT", 1022)
+        assert arith._pollard_rho(1000003 * 1000033) == 1000033
+        monkeypatch.setattr(arith, "_RHO_STEP_LIMIT", 1021)
+        with pytest.raises(arith.RhoGaveUp):
+            arith._pollard_rho(1000003 * 1000033)
+
     def test_wrong_is_prime_fails_factorize(self, cold_caches, monkeypatch):
         monkeypatch.setattr(arith, "is_prime", lambda n: False)
         start = time.perf_counter()

@@ -110,6 +110,21 @@ class TestNegationFromEvenOrder:
             assert audit.order_table(pp)[audit.primitive_root(pp)] == pp - pp // p
         assert (15, 11) in {(d, x) for d, x, *_ in negation_rows(201)}
 
+    def test_one_order_table_per_prime_power(self, monkeypatch):
+        # 29 odd prime powers up to 100: 24 primes and 9, 25, 27, 49, 81,
+        # each tabled once, as the scan first meets it.
+        real, built = audit.order_table, []
+
+        def counted(pp):
+            built.append(pp)
+            return real(pp)
+
+        monkeypatch.setattr(audit, "order_table", counted)
+        assert negation_rows(100)
+        assert built == sorted(set(built)) == [
+            q for q in range(3, 101, 2) if len(arith.factorize(q).odd_part) == 1]
+        assert len(built) == 29
+
     def test_contains_11_mod_15(self):
         rows = negation_rows(15)
         assert any(d == 15 and x == 11 for d, x, *_ in rows)
@@ -330,34 +345,39 @@ class TestSweepGroups:
     ])
     @pytest.mark.parametrize("jobs", [1, 3])
     def test_largest_sweeps_form_groups_within_budget(self, pairs_for, a_max, b_max,
-                                                      ell_max, jobs):
-        # README's largest accepted sweeps, grouped without any scan.
-        pairs = pairs_for(a_max, b_max)
-        groups = audit._sweep_groups(pairs, ell_max, jobs)
-        assert [p for group in groups for p in group] == pairs
-        assert len(groups) >= jobs
-        limit = oracle.sweep_bytes(2, 1, ell_max) + audit._SWEEP_GROUP_EXTRA_BYTES
-        for group in groups:
-            bases = len({v for pair in group for v in pair})
-            assert len(group) == 1 or oracle.sweep_bytes(bases, len(group), ell_max) <= limit
+                                                      ell_max, jobs, monkeypatch):
+        # README's largest accepted sweeps, grouped without any scan: the
+        # tasks go to a parallel_map that runs none of them.
+        tasks = []
+        monkeypatch.setattr(audit, "parallel_map", lambda fn, ts, jobs: tasks.extend(ts) or [])
+        assert audit._sweep(a_max, b_max, ell_max, pairs_for, None, jobs) == []
+        groups = [group for group, _, _ in tasks]
+        assert [p for group in groups for p in group] == pairs_for(a_max, b_max)
+        assert len(groups) >= jobs and all(groups)
 
     @pytest.mark.parametrize("pairs_for, a_max, b_max, ell_max", [
         (audit._crossval_pairs, 2, 3, 1100), (audit._crossval_pairs, 201, 201, 57),
-        (audit._crossval_pairs, 65, 65, 500), (audit._odd_witness_pairs, 80, 80, 1),
+        (audit._crossval_pairs, 65, 65, 500), (audit._crossval_pairs, 26, 26, 2000),
+        (audit._odd_witness_pairs, 80, 80, 1),
     ])
     def test_group_allocates_within_its_bytes(self, pairs_for, a_max, b_max, ell_max):
-        # numpy reports its array buffers to tracemalloc.
-        group = audit._sweep_groups(pairs_for(a_max, b_max), ell_max, 1)[0]
-        tracemalloc.start()
-        try:
-            pairs = [Pair(a, b) for a, b in group]
-            for swept in oracle.brute_force_sweeps(pairs, ell_max):
-                del swept
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        bases = len({v for pair in group for v in pair})
-        assert peak <= oracle.sweep_bytes(bases, len(group), ell_max)
+        # A group allocates at most _GROUP_EXTRA_BYTES more than its first
+        # pair's sweep alone; numpy reports its array buffers to tracemalloc.
+        group = oracle.sweep_groups(pairs_for(a_max, b_max), ell_max)[0]
+        extra = _sweep_peak(group, ell_max) - _sweep_peak(group[:1], ell_max)
+        assert extra <= oracle._GROUP_EXTRA_BYTES
+
+
+def _sweep_peak(group, ell_max) -> int:
+    """Peak bytes traced while group's Pairs are built and swept."""
+    tracemalloc.start()
+    try:
+        pairs = [Pair(a, b) for a, b in group]
+        for swept in oracle.brute_force_sweeps(pairs, ell_max):
+            del swept
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def _pid(task) -> int:
@@ -522,6 +542,13 @@ class TestCrossval:
         forked = audit.audit_odd_witness_variants(15, 15, 200, jobs=3)
         assert len(base["literal"]) == 20
         assert base == forked
+
+    def test_prime_power_orders_taken_once(self, cold_caches):
+        # Every order mod a prime power that the routes ask for over the
+        # pairs (1, 2), (1, 3), (2, 3) is computed once: 85 keys, no repeat.
+        assert audit.crossval_sweep(2, 3, 100) == []
+        info = arith._prime_power_order.cache_info()
+        assert info.misses == info.currsize == 85
 
     def test_each_route_asked_once_per_instance(self, monkeypatch):
         calls = {}
