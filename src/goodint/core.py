@@ -12,6 +12,7 @@ from typing import NamedTuple
 
 # parallel_map's start method: fork on Linux whatever Python's default (fast, no helper process).
 START_METHOD = "fork" if sys.platform == "linux" else None
+_STOP_SIGNALS = {signal.SIGINT, signal.SIGTERM}
 
 
 @dataclass(frozen=True)
@@ -76,6 +77,8 @@ def _serve(conn, fn, tasks, inherited) -> None:
     # Ctrl-C reaches the whole process group; only the parent acts on it.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.signal(signal.SIGTERM, signal.SIG_DFL)  # not the handler forked from the CLI
+    if hasattr(signal, "pthread_sigmask"):  # blocked by parallel_map while it started us
+        signal.pthread_sigmask(signal.SIG_UNBLOCK, _STOP_SIGNALS)
     for end in inherited:  # the parent's read ends, copied at fork
         end.close()
     try:
@@ -102,6 +105,10 @@ def parallel_map(fn, tasks, jobs: int):
     SIGKILL, fails each worker's next send, on which the worker exits.
     Closing the generator early, or any error, stops the workers.  Workers
     ignore SIGINT, so Ctrl-C interrupts the parent alone, and die of SIGTERM.
+    SIGINT and SIGTERM are blocked while workers start, where the platform
+    can block them: a worker is born with both blocked and takes them only
+    once its own handlers are set, so none runs the caller's handlers, and
+    the caller takes a stop signal sent meanwhile once its workers are up.
     multiprocessing is imported only when a pool is started.
     """
     workers = min(jobs, len(tasks), usable_cpus())
@@ -111,6 +118,8 @@ def parallel_map(fn, tasks, jobs: int):
     from multiprocessing import get_context
     context = get_context(START_METHOD)
     procs, conns = [], []
+    masking = hasattr(signal, "pthread_sigmask")
+    mask = masking and signal.pthread_sigmask(signal.SIG_BLOCK, _STOP_SIGNALS)
     try:
         for w in range(workers):
             conn, theirs = context.Pipe(duplex=False)
@@ -119,6 +128,8 @@ def parallel_map(fn, tasks, jobs: int):
             proc.start()
             theirs.close()
             procs.append(proc)
+        if masking:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         for i in range(len(tasks)):
             w = i % workers
             try:
@@ -136,3 +147,5 @@ def parallel_map(fn, tasks, jobs: int):
         for proc, conn in zip(procs, conns):
             proc.join()
             conn.close()
+        if masking:  # last, so that a stop signal taken here cuts no clean-up short
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)

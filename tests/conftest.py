@@ -14,6 +14,7 @@ hangs fails by name rather than stalling the whole run.
 """
 
 import contextlib
+import gc
 import io
 import json
 import math
@@ -138,6 +139,18 @@ def time_limit(request):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture(autouse=True)
+def unfrozen_heap():
+    """Undo the gc.freeze() of an in-process cli.main after each test.
+
+    A frozen heap is never collected, so garbage pending when main froze
+    it would stay, and the ResourceWarning of a file left open in it would
+    never be raised.
+    """
+    yield
+    gc.unfreeze()
 
 
 @pytest.fixture(autouse=True)

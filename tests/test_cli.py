@@ -33,30 +33,88 @@ def _running(pid: int) -> bool:
         return False
 
 
-@contextlib.contextmanager
-def _pooled_enumerate():
-    """A long `enumerate --jobs 2` in its own session, once it has written its
-    first byte: yields the process and its two workers.  On exit the whole
-    session is killed, since it outlives a parent that dies with workers
-    still running; so a check that no worker is left belongs in the block.
-    The child caps its workers at its affinity mask, inherited from this one."""
+# cli.main in a fresh interpreter whose pool workers sleep 0.3 s in their
+# bootstrap, before core._serve sets their own signal handlers: a wide
+# window in which a worker still holds the handlers forked from the CLI.
+# argv: the CLI argv as JSON, then "emfile" to make the pool's second Pipe
+# fail as with too many open files.
+_SLOW_START = """
+import errno, itertools, json, os, sys, time
+from multiprocessing import context, process
+import goodint.cli
+
+run = process.BaseProcess.run
+def slow_run(self):
+    time.sleep(0.3)
+    run(self)
+process.BaseProcess.run = slow_run
+
+pipe, calls = context.BaseContext.Pipe, itertools.count(1)
+def failing_pipe(self, duplex=True):
+    if next(calls) == 2:
+        raise OSError(errno.EMFILE, os.strerror(errno.EMFILE))
+    return pipe(self, duplex)
+if sys.argv[2:] == ["emfile"]:
+    context.BaseContext.Pipe = failing_pipe
+
+sys.exit(goodint.cli.main(json.loads(sys.argv[1])))
+"""
+
+
+def _need_two_cpus():
+    """Skip unless this process may run on two CPUs, which a pool of two needs:
+    a child caps its workers at its affinity mask, inherited from this one."""
     if len(os.sched_getaffinity(0)) < 2:
         pytest.skip("two workers need two usable CPUs")
+
+
+def _children(pid: int) -> list[int]:
+    with open(f"/proc/{pid}/task/{pid}/children") as fh:
+        return [int(child) for child in fh.read().split()]
+
+
+@contextlib.contextmanager
+def _pooled_enumerate(starting: bool = False):
+    """A long `enumerate --jobs 2` in its own session, once it has written its
+    first byte: yields the process and its two workers.  starting: run it
+    under _SLOW_START, and yield as soon as the second worker appears, while
+    both are still in their bootstrap.  On exit the whole session is killed,
+    since it outlives a parent that dies with workers still running; so a
+    check that no worker is left belongs in the block."""
+    _need_two_cpus()
+    argv = ["enumerate", "--a", "3", "--b", "5", "--max", "3000000", "--jobs", "2"]
     with subprocess.Popen(
-        [sys.executable, "-m", "goodint", "enumerate", "--a", "3", "--b", "5",
-         "--max", "3000000", "--jobs", "2"],
+        [sys.executable, "-c", _SLOW_START, json.dumps(argv)] if starting
+        else [sys.executable, "-m", "goodint", *argv],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, cwd=PKG_ROOT,
         start_new_session=True,
     ) as proc:
         try:
-            assert proc.stdout.read(1) == b"{"
-            with open(f"/proc/{proc.pid}/task/{proc.pid}/children") as fh:
-                workers = [int(pid) for pid in fh.read().split()]
+            if starting:
+                deadline = time.monotonic() + 20
+                while len(workers := _children(proc.pid)) < 2:
+                    assert time.monotonic() < deadline, "the workers never started"
+                    time.sleep(0.01)  # well inside the 0.3 s they sleep
+            else:
+                assert proc.stdout.read(1) == b"{"
+                workers = _children(proc.pid)
             assert len(workers) == 2
             yield proc, workers
         finally:
             with contextlib.suppress(ProcessLookupError):
                 os.killpg(proc.pid, signal.SIGKILL)
+
+
+def _session_left(sid: int) -> list[int]:
+    """The processes of session sid that have not exited."""
+    pids = []
+    for entry in filter(str.isdigit, os.listdir("/proc")):
+        with contextlib.suppress(OSError):  # gone meanwhile
+            with open(f"/proc/{entry}/stat") as fh:
+                state, _, _, session = fh.read().rpartition(")")[2].split()[:4]
+            if int(session) == sid and state != "Z":
+                pids.append(int(entry))
+    return pids
 
 
 class TestEntryPoint:
@@ -77,6 +135,21 @@ class TestEntryPoint:
         assert proc.returncode == 2 and proc.stdout == ""
         (line,) = proc.stderr.splitlines()
         assert line.startswith("goodint: ") and "coprime" in line
+
+    def test_main_freezes_the_imported_heap(self):
+        # The modules imported before main live as long as the process; main
+        # takes them out of the collector's sight, numpy's among them, so
+        # that interpreter exit does not walk and tear them down.
+        script = ("import gc, goodint.cli\n"
+                  "n = len(gc.get_objects())\n"
+                  "assert goodint.cli.main(['order', '--x', '3', '--mod', '7']) == 0\n"
+                  "assert gc.get_freeze_count() >= n, (gc.get_freeze_count(), n)\n"
+                  "arith = vars(goodint.arith)\n"
+                  "assert not any(obj is arith for obj in gc.get_objects())\n")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, cwd=PKG_ROOT, timeout=60)
+        assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
+        assert records(proc.stdout)[0]["order"] == 6
 
 
 class TestClassify:
@@ -283,6 +356,21 @@ class TestEnumerate:
             while any(os.path.exists(f"/proc/{pid}") for pid in workers):
                 assert time.monotonic() < deadline, "a worker outlived the parent"
                 time.sleep(0.05)
+
+    @pytest.mark.parametrize("sig, code, reason", [
+        (signal.SIGTERM, 143, b"terminated"), (signal.SIGINT, 130, b"interrupted")])
+    def test_stop_signal_while_workers_start(self, sig, code, reason):
+        # SIGTERM to the parent, or Ctrl-C to the group, as soon as the
+        # second worker is forked: no worker may run the CLI's handlers
+        # (a traceback) or lose the signal and outlive the parent (a hang).
+        with _pooled_enumerate(starting=True) as (proc, workers):
+            if sig == signal.SIGINT:
+                os.killpg(proc.pid, sig)
+            else:
+                os.kill(proc.pid, sig)
+            _, err = proc.communicate(timeout=5)
+            assert (proc.returncode, err) == (code, b"goodint: " + reason + b"\n")
+            assert not any(_running(pid) for pid in workers)
 
     def test_sigkill_leaves_no_worker_and_no_pipe_held(self):
         # A parent killed outright runs no handler.  Its workers must still
@@ -632,6 +720,24 @@ class TestRuntimeFailure:
             _, err = proc.communicate(timeout=20)
         assert proc.returncode == 70
         assert re.fullmatch(rb"goodint: worker process \d+ died \(exit code -9\)\n", err)
+
+    def test_failed_pool_start_stops_the_started_worker(self):
+        # The second worker's pipe fails while the first is still in its
+        # bootstrap: the parent stops that worker, which must die of the
+        # SIGTERM rather than run the CLI's handler for it.
+        _need_two_cpus()
+        argv = ["enumerate", "--a", "3", "--b", "5", "--max", "5000", "--jobs", "2"]
+        with subprocess.Popen([sys.executable, "-c", _SLOW_START, json.dumps(argv), "emfile"],
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE, cwd=PKG_ROOT,
+                              start_new_session=True) as proc:
+            try:
+                out, err = proc.communicate(timeout=5)
+                assert (proc.returncode, out) == (70, b"")
+                assert err == b"goodint: [Errno 24] Too many open files\n"
+                assert _session_left(proc.pid) == []
+            finally:
+                with contextlib.suppress(ProcessLookupError):
+                    os.killpg(proc.pid, signal.SIGKILL)
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
     @pytest.mark.parametrize("argv", [
