@@ -254,8 +254,10 @@ def _negation_block(block):
 # 57, 500 and 2000 (a_max = b_max = 612, 201, 65, 26) took 6.0, 10.3, 10.9
 # and 11.6 s through the CLI (median of 5 runs) when each pair was swept
 # alone.  Sweeping pairs in groups that share their bases' tables made most
-# sweeps cheaper than priced, the ell_max 1 ones most; the price was not
-# re-fitted, as it is the refusal rule, not a time estimate.
+# sweeps cheaper than priced, the ell_max 1 ones most, and testing each sum
+# for divisibility by a multiply instead of a remainder made the larger
+# ell_max ones cheaper still; the price was not re-fitted, as it is the
+# refusal rule, not a time estimate.
 _SWEEP_PER_ELL = 2500
 _SWEEP_PER_PAIR = 15000
 _SWEEP_WORK_LIMIT = 2 * 10**9

@@ -103,8 +103,11 @@ def parallel_map(fn, tasks, jobs: int):
     worker closes the read ends it inherited: a dead worker reads as end of
     file and raises RuntimeError, and a dead parent, even one killed by
     SIGKILL, fails each worker's next send, on which the worker exits.
-    Closing the generator early, or any error, stops the workers.  Workers
-    ignore SIGINT, so Ctrl-C interrupts the parent alone, and die of SIGTERM.
+    Closing the generator early, or any error, stops the workers: each is
+    sent SIGTERM, and every read end is closed before any worker is joined,
+    so a worker that outlives its SIGTERM fails its next send and exits
+    rather than hold the parent in join.  Workers ignore SIGINT, so Ctrl-C
+    interrupts the parent alone, and die of SIGTERM.
     SIGINT and SIGTERM are blocked while workers start, where the platform
     can block them: a worker is born with both blocked and takes them only
     once its own handlers are set, so none runs the caller's handlers, and
@@ -144,8 +147,9 @@ def parallel_map(fn, tasks, jobs: int):
     finally:
         for proc in procs:
             proc.terminate()
-        for proc, conn in zip(procs, conns):
-            proc.join()
+        for conn in conns:  # before any join: a worker that outlives SIGTERM ends on EPIPE
             conn.close()
+        for proc in procs:
+            proc.join()
         if masking:  # last, so that a stop signal taken here cuts no clean-up short
             signal.pthread_sigmask(signal.SIG_SETMASK, mask)

@@ -134,6 +134,42 @@ def brute_force_sweep(pair: Pair, ell_max: int) -> list[Verdict]:
     return next(brute_force_sweeps([pair], ell_max))
 
 
+def _divisor_tables(mods: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(inv, thr, low) of each modulus ell = 2**s * d in mods, d odd, for _divides.
+
+    inv = d**-1 mod 2**32, by four Newton steps inv *= 2 - d*inv from
+    inv = d: d*d = 1 mod 8, and a step from d*inv = 1 mod 2**j reaches
+    1 mod 2**2j, so 3 right bits become 48.  thr = (2**32 - 1) // d and
+    low = 2**s - 1.  All three are uint32, as mods must be.
+    """
+    low = (mods ^ (mods - 1)) >> 1
+    d = mods // (low + 1)
+    inv = d.copy()
+    for _ in range(4):
+        inv *= 2 - d * inv
+    return inv, np.uint32(0xFFFFFFFF) // d, low
+
+
+def _divides(u, inv, thr, low, out, spare) -> np.ndarray:
+    """out = whether ell divides u, per column ell, by multiplication only.
+
+    For uint32 u and ell = 2**s * d (d odd) with the arrays of
+    _divisor_tables, ell | u iff v = u * inv mod 2**32 has v <= thr and
+    v & low == 0 (Granlund and Montgomery, PLDI 1994; Lemire, Kaser and
+    Kurz, SPE 2019).  As d is odd, u -> u * inv is a bijection mod 2**32
+    with inverse v -> v * d.  If u = d*q, then v = q <= (2**32 - 1) / d, so
+    v <= thr.  If v <= thr, then d*v <= 2**32 - 1, and d*v = u mod 2**32
+    with both in 0..2**32 - 1, so u = d*v.  So d | u iff v <= thr, and then
+    v = u / d, which 2**s divides iff u does, d being odd.  u is left as
+    v & low, and spare as scratch; both are overwritten, as out is.
+    """
+    np.multiply(u, inv, out=u)
+    np.less_equal(u, thr, out=out)
+    np.bitwise_and(u, low, out=u)
+    np.equal(u, 0, out=spare)
+    return np.logical_and(out, spare, out=out)
+
+
 def brute_force_sweeps(pairs: list[Pair], ell_max: int) -> Iterator[list[Verdict]]:
     """brute_force_sweep of each pair in turn, over one table per distinct base.
 
@@ -143,7 +179,8 @@ def brute_force_sweeps(pairs: list[Pair], ell_max: int) -> Iterator[list[Verdict
     doubling for each distinct base v among the pairs' a and b; each block
     multiplies every table by the running v**(k0-1) of its first exponent k0,
     one (B x moduli) product per base, and then tests each pair's sum of
-    its two bases' products with one remainder.  The moduli ascend, so a
+    its two bases' products for divisibility by one wrapping multiply and
+    compares (_divides), with no remainder per pair.  The moduli ascend, so a
     block works on the suffix still live at k0, from index (k0 - 1) // 2:
     each modulus is scanned to the end of the block that passes its own
     bound 2*ell, without early stops.  The smallest odd and even hit of each
@@ -159,8 +196,11 @@ def brute_force_sweeps(pairs: list[Pair], ell_max: int) -> Iterator[list[Verdict
     Bases are reduced into each modulus with Python ints, so operands of
     any size are accepted.  Every array is uint32 (an int32 operand would
     promote the sums to int64): residues are below ell, so each product is
-    below 46340**2 and the sum of two below 2**32 for ell_max <= 46340; a
-    larger ell_max is refused before any array is built.
+    below 46340**2 and the sum of two below 2**32 for ell_max <= 46340, so
+    _divides sees each sum unwrapped; a larger ell_max is refused before any
+    array is built.  Arrays are reduced only by np.remainder with an out
+    array: once per doubling step, for the running rows of each block, and
+    once to start them, whatever the number of pairs.
     """
     if ell_max < 0:
         raise ValueError(f"ell_max must be non-negative, got {ell_max}")
@@ -185,21 +225,26 @@ def brute_force_sweeps(pairs: list[Pair], ell_max: int) -> Iterator[list[Verdict
         np.remainder(doubled, mods, out=pows[:, s:2 * s])
         s *= 2
     first = np.zeros((len(sides), 2, ell_max), dtype=np.uint32)  # smallest odd, even hit; 0 for none
-    run = np.broadcast_to(1 % mods, (len(index), ell_max))  # v**(k0 - 1) mod ell
+    run = np.ones((len(index), ell_max), dtype=np.uint32)  # v**(k0 - 1) mod ell, live columns
+    np.remainder(run, mods, out=run)
+    divisor = _divisor_tables(mods)
     total = np.empty(B * ell_max, dtype=np.uint32)
+    scratch = np.empty(2 * B * ell_max, dtype=bool).reshape(2, B * ell_max)  # _divides' out, spare
     for k0 in range(1, 2 * ell_max + 1, B):
         lo = (k0 - 1) // 2
-        m = mods[lo:]
         live = ell_max - lo
         block = prods[:len(pows) * B * live].reshape(len(pows), B, live)
-        np.multiply(pows[:, :, lo:], run[:, None], out=block)
+        np.multiply(pows[:, :, lo:], run[:, None, lo:], out=block)
         # The next block starts half columns further on.
-        run = block[:, -1, half:] % m[half:]
+        np.remainder(block[:, -1, half:], mods[lo + half:], out=run[:, lo + half:])
         u = total[:B * live].reshape(B, live)
+        flags, spare = (f[:B * live].reshape(B, live) for f in scratch)
+        tables = [t[lo:] for t in divisor]
         for found, (i, j) in zip(first[:, :, lo:], sides):
             np.add(block[i], block[j], out=u)
+            _divides(u, *tables, flags, spare)
             # Row pairs (k odd, k even): hit[r, p] holds k = k0 + 2r + p.
-            hit = (np.remainder(u, m, out=u) == 0).reshape(half, 2, -1)
+            hit = flags.reshape(half, 2, -1)
             par, col = np.nonzero(hit.any(axis=0) & (found == 0))
             found[par, col] = k0 + par + 2 * hit[:, par, col].argmax(axis=0)
     ells = range(1, ell_max + 1)

@@ -7,7 +7,8 @@ none of their logic.
 run_main drives the CLI in process, through cli.main with stdout and stderr
 captured; records parses its stdout.  A test starts a real `python -m
 goodint` process only where the process itself is what it checks: signals,
-a closed pipe, a fresh interpreter or the entry point.
+a closed pipe, a fresh interpreter or the entry point.  need_two_cpus and
+session_left serve the tests whose subprocesses start a pool.
 
 Every test runs under a TEST_TIME_LIMIT_S wall-clock limit, so one that
 hangs fails by name rather than stalling the whole run.
@@ -18,6 +19,7 @@ import gc
 import io
 import json
 import math
+import os
 import signal
 
 import pytest
@@ -157,6 +159,25 @@ def unfrozen_heap():
 def four_cpus(monkeypatch):
     """Pin core.usable_cpus, so that in-process pools start the same workers on any host."""
     monkeypatch.setattr(core, "usable_cpus", lambda: 4)
+
+
+def need_two_cpus():
+    """Skip unless this process may run on two CPUs, which a pool of two needs:
+    a child caps its workers at its affinity mask, inherited from this one."""
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("two workers need two usable CPUs")
+
+
+def session_left(sid: int) -> list[int]:
+    """The processes of session sid that have not exited."""
+    pids = []
+    for entry in filter(str.isdigit, os.listdir("/proc")):
+        with contextlib.suppress(OSError):  # gone meanwhile
+            with open(f"/proc/{entry}/stat") as fh:
+                state, _, _, session = fh.read().rpartition(")")[2].split()[:4]
+            if int(session) == sid and state != "Z":
+                pids.append(int(entry))
+    return pids
 
 
 def refuse_work(monkeypatch, module, name):

@@ -1,8 +1,10 @@
+import contextlib
 import functools
 import math
 import multiprocessing
 import os
 import pickle
+import signal
 import subprocess
 import sys
 import time
@@ -13,7 +15,8 @@ import pytest
 
 from goodint import arith, audit, classify, core, oracle
 from goodint.core import Pair, usable_cpus
-from conftest import factor_by_trial, negation_by_scan, order_by_scan, refuse_work
+from conftest import (factor_by_trial, need_two_cpus, negation_by_scan, order_by_scan, refuse_work,
+                      session_left)
 
 
 class TestOrderTables:
@@ -451,6 +454,29 @@ class TestParallelMap:
         assert not any(worker.is_alive() for worker in workers)
         assert list(core.parallel_map(abs, range(-50, 0), 3)) == list(range(50, 0, -1))
         assert multiprocessing.active_children() == []
+
+    def test_worker_that_outlives_sigterm_cannot_hold_the_parent(self):
+        # Each task ignores SIGTERM, then blocks sending 1 MiB.  Closing the
+        # generator must close the parent's read ends before it joins any
+        # worker, so both fail their send and exit.
+        need_two_cpus()
+        code = ("import signal\n"
+                "from goodint import core\n"
+                "def stubborn(task):\n"
+                "    signal.signal(signal.SIGTERM, signal.SIG_IGN)\n"
+                "    return bytes(1 << 20)\n"
+                "results = core.parallel_map(stubborn, [0] * 8, 2)\n"
+                "assert len(next(results)) == 1 << 20\n"
+                "results.close()\n")
+        with subprocess.Popen([sys.executable, "-c", code], stderr=subprocess.PIPE,
+                              start_new_session=True) as proc:
+            try:
+                _, err = proc.communicate(timeout=5)
+                assert (proc.returncode, err) == (0, b"")
+                assert session_left(proc.pid) == []
+            finally:
+                with contextlib.suppress(ProcessLookupError):
+                    os.killpg(proc.pid, signal.SIGKILL)
 
     @pytest.mark.parametrize("cpus,tasks,workers", [(4, 50, 4), (8, 3, 3), (1, 50, 0)],
                              ids=["4-50-4", "8-3-3", "1-50-0"])  # cpus-tasks-workers

@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 
 from goodint import arith, audit, classify, cli, oracle
 from goodint.core import Pair, Verdict
-from conftest import order_by_scan, records, refuse_work, run_main
+from conftest import (need_two_cpus, order_by_scan, records, refuse_work, run_main,
+                      session_left)
 
 PKG_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -61,13 +62,6 @@ sys.exit(goodint.cli.main(json.loads(sys.argv[1])))
 """
 
 
-def _need_two_cpus():
-    """Skip unless this process may run on two CPUs, which a pool of two needs:
-    a child caps its workers at its affinity mask, inherited from this one."""
-    if len(os.sched_getaffinity(0)) < 2:
-        pytest.skip("two workers need two usable CPUs")
-
-
 def _children(pid: int) -> list[int]:
     with open(f"/proc/{pid}/task/{pid}/children") as fh:
         return [int(child) for child in fh.read().split()]
@@ -81,7 +75,7 @@ def _pooled_enumerate(starting: bool = False):
     both are still in their bootstrap.  On exit the whole session is killed,
     since it outlives a parent that dies with workers still running; so a
     check that no worker is left belongs in the block."""
-    _need_two_cpus()
+    need_two_cpus()
     argv = ["enumerate", "--a", "3", "--b", "5", "--max", "3000000", "--jobs", "2"]
     with subprocess.Popen(
         [sys.executable, "-c", _SLOW_START, json.dumps(argv)] if starting
@@ -103,18 +97,6 @@ def _pooled_enumerate(starting: bool = False):
         finally:
             with contextlib.suppress(ProcessLookupError):
                 os.killpg(proc.pid, signal.SIGKILL)
-
-
-def _session_left(sid: int) -> list[int]:
-    """The processes of session sid that have not exited."""
-    pids = []
-    for entry in filter(str.isdigit, os.listdir("/proc")):
-        with contextlib.suppress(OSError):  # gone meanwhile
-            with open(f"/proc/{entry}/stat") as fh:
-                state, _, _, session = fh.read().rpartition(")")[2].split()[:4]
-            if int(session) == sid and state != "Z":
-                pids.append(int(entry))
-    return pids
 
 
 class TestEntryPoint:
@@ -725,7 +707,7 @@ class TestRuntimeFailure:
         # The second worker's pipe fails while the first is still in its
         # bootstrap: the parent stops that worker, which must die of the
         # SIGTERM rather than run the CLI's handler for it.
-        _need_two_cpus()
+        need_two_cpus()
         argv = ["enumerate", "--a", "3", "--b", "5", "--max", "5000", "--jobs", "2"]
         with subprocess.Popen([sys.executable, "-c", _SLOW_START, json.dumps(argv), "emfile"],
                               stdout=subprocess.PIPE, stderr=subprocess.PIPE, cwd=PKG_ROOT,
@@ -734,7 +716,7 @@ class TestRuntimeFailure:
                 out, err = proc.communicate(timeout=5)
                 assert (proc.returncode, out) == (70, b"")
                 assert err == b"goodint: [Errno 24] Too many open files\n"
-                assert _session_left(proc.pid) == []
+                assert session_left(proc.pid) == []
             finally:
                 with contextlib.suppress(ProcessLookupError):
                     os.killpg(proc.pid, signal.SIGKILL)

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -223,6 +224,54 @@ class TestSweep:
         assert oracle.brute_force_sweep(pairs[0], n) == expected[0]
         group = pairs + [Pair(b, a) for a, b in abs_]
         assert list(oracle.brute_force_sweeps(group, n)) == expected + expected
+
+    def test_divides_is_exact_below_the_cap(self):
+        # For every ell the sweep accepts: inv is d**-1 mod 2**32 for the odd
+        # part d of ell, and _divides agrees with % at each edge of its
+        # proof: around ell, around the largest multiples of d and of ell
+        # below 2**32, at the largest sum of two products of residues, and at
+        # 2**32 - 1.
+        ells = np.arange(1, oracle._SWEEP_ELL_CAP + 1, dtype=np.uint32)
+        inv, thr, low = oracle._divisor_tables(ells)
+        e = ells.astype(np.int64)
+        d = e // (e & -e)
+        assert np.all(inv.astype(np.int64) * d % 2**32 == 1)
+        assert np.array_equal(thr, (2**32 - 1) // d)
+        assert np.array_equal(low, (e & -e) - 1)
+        top = (2**32 - 1) // e * e
+        u = np.stack([0 * e, 1 + 0 * e, e - 1, e, e * thr - 1, e * thr, e * thr + 1,
+                      d * thr - 1, d * thr, d * thr + 1, top - 1, top, top + 1,
+                      2 * (e - 1) ** 2, 2**32 - 1 + 0 * e])
+        fits = u < 2**32
+        assert fits.sum() > 10 * len(e)
+        out, spare = np.empty((2, *u.shape), dtype=bool)
+        got = oracle._divides(np.where(fits, u, 0).astype(np.uint32), inv, thr, low, out, spare)
+        assert np.array_equal(got[fits], (u % e == 0)[fits])
+
+    def test_remainders_do_not_grow_with_pairs(self, monkeypatch):
+        # The sweep reduces arrays only by np.remainder into an out array:
+        # once per doubling step of its tables, once to start the running
+        # rows and once per block for them.  A group of five pairs over the
+        # bases of one pair makes as many calls as that pair alone.
+        calls = []
+
+        class CountingNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def remainder(self, *args, out):
+                calls.append(args)
+                return np.remainder(*args, out=out)
+
+        monkeypatch.setattr(oracle, "np", CountingNumpy())
+        ell_max, B = 300, oracle._BLOCK
+        doublings, blocks = B.bit_length() - 1, -(-2 * ell_max // B)
+        one = [Pair(2, 3)]
+        five = [Pair(2, 3), Pair(3, 2), Pair(2, 3), Pair(3, 2), Pair(2, 3)]
+        swept = list(oracle.brute_force_sweeps(one, ell_max))
+        alone = len(calls)
+        assert list(oracle.brute_force_sweeps(five, ell_max)) == swept * 5
+        assert len(calls) - alone == alone == doublings + 1 + blocks
 
     def test_cap_keeps_products_in_int32(self):
         cap = oracle._SWEEP_ELL_CAP
