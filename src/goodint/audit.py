@@ -250,14 +250,9 @@ def _negation_block(block):
 # decisions and scan blocks cost as much as 2500 scan elements each, and the
 # fixed set-up of a pair (its Pair, scan tables and task) as 15000.  Fitted
 # on crossval pairs drawn from a, b <= 1000, one core of a 2-core Xeon: a
-# unit is about 6.4 ns.  The largest accepted crossval sweeps at ell_max 1,
-# 57, 500 and 2000 (a_max = b_max = 612, 201, 65, 26) took 6.0, 10.3, 10.9
-# and 11.6 s through the CLI (median of 5 runs) when each pair was swept
-# alone.  Sweeping pairs in groups that share their bases' tables made most
-# sweeps cheaper than priced, the ell_max 1 ones most, and testing each sum
-# for divisibility by a multiply instead of a remainder made the larger
-# ell_max ones cheaper still; the price was not re-fitted, as it is the
-# refusal rule, not a time estimate.
+# unit was about 6.4 ns when each pair was swept alone.  Grouped sweeps cost
+# less than priced; the price is not re-fitted, as it is the refusal rule,
+# not a time estimate.
 _SWEEP_PER_ELL = 2500
 _SWEEP_PER_PAIR = 15000
 _SWEEP_WORK_LIMIT = 2 * 10**9
@@ -292,9 +287,8 @@ def _sweep(a_max: int, b_max: int, ell_max: int, pairs_for, check,
 
 def _sweep_group(task) -> list[AuditFinding]:
     group, ell_max, check = task
-    pairs = [Pair(a, b) for a, b in group]
-    return [f for pair, sweep in zip(pairs, oracle.brute_force_sweeps(pairs, ell_max))
-            for f in check(pair, sweep)]
+    return [f for (a, b), sweep in zip(group, oracle.brute_force_sweeps(group, ell_max))
+            for f in check(Pair(a, b), sweep)]
 
 
 # Theorem 2: the whole-modulus vs the per-prime order condition for odd witnesses.

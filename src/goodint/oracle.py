@@ -91,10 +91,10 @@ _BLOCK = 32
 # Largest ell_max a sweep accepts: 2 * 46340**2 < 2**32 <= 2 * 46341**2, so
 # the sum of two products of residues below ell_max fits uint32.
 _SWEEP_ELL_CAP = 46340
-# Bytes of a swept pair's Python objects on CPython 3.11: its Pair (about 170
-# with bases past 256), its tuple of base indices (64) and two list slots.
-_PAIR_BYTES = 240
-# Bytes a group of pairs may allocate beyond one pair's sweep: a sweep task's
+# Bytes of a swept pair's Python objects on CPython 3.11: its tuple of base
+# indices (56) and its list slot.
+_PAIR_BYTES = 64
+# Bytes a group may allocate beyond its first pair's sweep: a sweep task's
 # peak RSS grows by about as much.  At 1 MiB every largest accepted sweep
 # peaks within 5 % of the RSS it took with one pair per task.
 _GROUP_EXTRA_BYTES = 1 << 20
@@ -104,11 +104,12 @@ def sweep_groups(pairs: list, ell_max: int) -> list[list]:
     """pairs (a, b) cut into contiguous groups for brute_force_sweeps.
 
     A cut falls wherever the next pair would make its group allocate more
-    than one pair's sweep plus _GROUP_EXTRA_BYTES: 4 * ell_max * (2B + 2)
-    per distinct base past two (its table, products and running rows),
-    8 * ell_max + _PAIR_BYTES per pair past one (its first-hit rows and
-    Python objects), and numpy's ufunc buffers, np.getbufsize() elements for
-    each of three 4-byte operands, which one pair's arrays may not fill.
+    than its first pair's sweep plus _GROUP_EXTRA_BYTES: 4 * ell_max *
+    (2B + 2) per distinct base past that pair's one or two (its table,
+    products and running rows), 8 * ell_max + _PAIR_BYTES per pair past one
+    (its first-hit rows and Python objects), and numpy's ufunc buffers,
+    np.getbufsize() elements for each of three 4-byte operands, which one
+    pair's arrays may not fill.
     """
     B = min(_BLOCK, 1 << (2 * ell_max - 1).bit_length())
     per_base, per_pair = 4 * ell_max * (2 * B + 2), 8 * ell_max + _PAIR_BYTES
@@ -116,7 +117,7 @@ def sweep_groups(pairs: list, ell_max: int) -> list[list]:
     groups, group, bases = [], [], set()
     for pair in pairs:
         grown = len(bases) + len({*pair} - bases)
-        if group and (grown - 2) * per_base + len(group) * per_pair > limit:
+        if group and (grown - len({*group[0]})) * per_base + len(group) * per_pair > limit:
             groups.append(group)
             group, bases = [], set()
         group.append(pair)
@@ -131,7 +132,7 @@ def brute_force_sweep(pair: Pair, ell_max: int) -> list[Verdict]:
     ValueError for an ell_max below 0 or above 46340 before any array is
     built.
     """
-    return next(brute_force_sweeps([pair], ell_max))
+    return next(brute_force_sweeps([(pair.a, pair.b)], ell_max))
 
 
 def _divisor_tables(mods: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -170,23 +171,24 @@ def _divides(u, inv, thr, low, out, spare) -> np.ndarray:
     return np.logical_and(out, spare, out=out)
 
 
-def brute_force_sweeps(pairs: list[Pair], ell_max: int) -> Iterator[list[Verdict]]:
+def brute_force_sweeps(pairs: list[tuple[int, int]], ell_max: int) -> Iterator[list[Verdict]]:
     """brute_force_sweep of each pair in turn, over one table per distinct base.
 
-    k is a hit for ell when ell | a**k + b**k.  The exponent advances in
-    blocks of B steps, B the smaller of _BLOCK and the least power of two
-    >= 2*ell_max.  A table of v**j mod ell for j = 1..B is built once by
-    doubling for each distinct base v among the pairs' a and b; each block
-    multiplies every table by the running v**(k0-1) of its first exponent k0,
-    one (B x moduli) product per base, and then tests each pair's sum of
-    its two bases' products for divisibility by one wrapping multiply and
-    compares (_divides), with no remainder per pair.  The moduli ascend, so a
-    block works on the suffix still live at k0, from index (k0 - 1) // 2:
-    each modulus is scanned to the end of the block that passes its own
-    bound 2*ell, without early stops.  The smallest odd and even hit of each
-    modulus is kept: a block writes only the parities it hits that no
-    earlier block hit, each at its first hit row.  The verdicts are yielded
-    once every block is done, one pair's list at a time, in pair order.
+    pairs are (a, b) ints, unvalidated.  k is a hit for ell when ell | a**k
+    + b**k.  The exponent advances in blocks of B steps, B the smaller of
+    _BLOCK and the least power of two >= 2*ell_max.  A table of v**j mod ell
+    for j = 1..B is built once by doubling for each distinct base v among
+    the pairs' a and b; each block multiplies every table by the running
+    v**(k0-1) of its first exponent k0, one (B x moduli) product per base,
+    and then tests each pair's sum of its two bases' products for
+    divisibility by one wrapping multiply and compares (_divides).  The
+    moduli ascend, so a block works on the suffix still live at k0, from
+    index (k0 - 1) // 2: each modulus is scanned to the end of the block
+    that passes its own bound 2*ell, without early stops.  The smallest odd
+    and even hit of each modulus is kept: a block writes only the parities
+    it hits that no earlier block hit, each at its first hit row.  The
+    verdicts are yielded once every block is done, one pair's list at a
+    time, in pair order.
 
     Hits past 2*ell change neither: if gcd(ab, ell) > 1, a prime of ell
     divides exactly one of a, b and no k is a hit; otherwise (a**k, b**k)
@@ -199,8 +201,8 @@ def brute_force_sweeps(pairs: list[Pair], ell_max: int) -> Iterator[list[Verdict
     below 46340**2 and the sum of two below 2**32 for ell_max <= 46340, so
     _divides sees each sum unwrapped; a larger ell_max is refused before any
     array is built.  Arrays are reduced only by np.remainder with an out
-    array: once per doubling step, for the running rows of each block, and
-    once to start them, whatever the number of pairs.
+    array, once per doubling step and once per block, whatever the number
+    of pairs.
     """
     if ell_max < 0:
         raise ValueError(f"ell_max must be non-negative, got {ell_max}")
@@ -210,26 +212,25 @@ def brute_force_sweeps(pairs: list[Pair], ell_max: int) -> Iterator[list[Verdict
     half = B // 2
     mods = np.arange(1, ell_max + 1, dtype=np.uint32)
     index = {}
-    sides = [(index.setdefault(p.a, len(index)), index.setdefault(p.b, len(index)))
-             for p in pairs]
+    sides = [(index.setdefault(a, len(index)), index.setdefault(b, len(index)))
+             for a, b in pairs]
     # pows[i] row j - 1 holds v**j mod ell for the i-th distinct base v; rows
     # s..2s-1 are rows 0..s-1 times row s-1, v**(s+i) = v**i * v**s.
     pows = np.empty((len(index), B, ell_max), dtype=np.uint32)
     for tab, v in zip(pows, index):
         tab[0] = np.fromiter((v % m for m in range(1, ell_max + 1)), np.uint32, ell_max)
-    prods = np.empty(pows.size, dtype=np.uint32)  # unreduced products, shaped as used
     s = 1
     while s < B:
-        doubled = prods[:len(pows) * s * ell_max].reshape(len(pows), s, ell_max)
-        np.multiply(pows[:, :s], pows[:, s - 1:s], out=doubled)
-        np.remainder(doubled, mods, out=pows[:, s:2 * s])
+        np.remainder(pows[:, :s] * pows[:, s - 1:s], mods, out=pows[:, s:2 * s])
         s *= 2
+    prods = np.empty(pows.size, dtype=np.uint32)  # a block's unreduced products
     first = np.zeros((len(sides), 2, ell_max), dtype=np.uint32)  # smallest odd, even hit; 0 for none
-    run = np.ones((len(index), ell_max), dtype=np.uint32)  # v**(k0 - 1) mod ell, live columns
-    np.remainder(run, mods, out=run)
+    # v**(k0 - 1) mod ell in the live columns.  1 is reduced for ell >= 2, and
+    # the ell = 1 column, where every table entry is 0, is live in block 1 only.
+    run = np.ones((len(index), ell_max), dtype=np.uint32)
     divisor = _divisor_tables(mods)
     total = np.empty(B * ell_max, dtype=np.uint32)
-    scratch = np.empty(2 * B * ell_max, dtype=bool).reshape(2, B * ell_max)  # _divides' out, spare
+    scratch = np.empty((2, B * ell_max), dtype=bool)  # _divides' out, spare
     for k0 in range(1, 2 * ell_max + 1, B):
         lo = (k0 - 1) // 2
         live = ell_max - lo

@@ -404,7 +404,7 @@ class TestMultiplicativeOrder:
             assert arith.multiplicative_order(m - 1, m) == 2
 
 
-class TestKnownPrimeLambda:
+class TestOrderModKnownPrimeSquare:
     """The order mod p**e factors lambda(p**e) = p**(e-1) * (p-1) from p - 1
     and the known p, never whole: for p = 10**9 + 7 the whole lambda(p**2)
     has the cofactor p * (p-1)/2, which would go to Pollard rho."""
@@ -488,7 +488,7 @@ class TestLargeModuliBatch:
         assert elapsed < 1.0, f"40 large moduli took {elapsed:.2f} s"
 
 
-class TestOrderViaCrt:
+class TestOrderIsLcmOfPrimePowerOrders:
     """The order mod m is the lcm of the orders mod its maximal prime powers."""
 
     @staticmethod

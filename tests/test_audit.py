@@ -327,7 +327,7 @@ class TestSweepGroups:
                 return np.fromiter(*args)
 
             def empty(self, shape, dtype):
-                if isinstance(shape, tuple):
+                if isinstance(shape, tuple) and len(shape) == 3:
                     tables.append(shape)
                 return np.empty(shape, dtype)
 
@@ -359,24 +359,25 @@ class TestSweepGroups:
         assert len(groups) >= jobs and all(groups)
 
     @pytest.mark.parametrize("pairs_for, a_max, b_max, ell_max", [
-        (audit._crossval_pairs, 2, 3, 1100), (audit._crossval_pairs, 201, 201, 57),
-        (audit._crossval_pairs, 65, 65, 500), (audit._crossval_pairs, 26, 26, 2000),
-        (audit._odd_witness_pairs, 80, 80, 1),
+        (audit._crossval_pairs, 2, 3, 1100), (audit._crossval_pairs, 612, 612, 1),
+        (audit._crossval_pairs, 201, 201, 57), (audit._crossval_pairs, 65, 65, 500),
+        (audit._crossval_pairs, 26, 26, 2000), (audit._odd_witness_pairs, 80, 80, 1),
+        (audit._odd_witness_pairs, 32, 32, 2000),
     ])
     def test_group_allocates_within_its_bytes(self, pairs_for, a_max, b_max, ell_max):
         # A group allocates at most _GROUP_EXTRA_BYTES more than its first
-        # pair's sweep alone; numpy reports its array buffers to tracemalloc.
+        # pair's sweep alone, also when that pair is (1, 1), with one base;
+        # numpy reports its array buffers to tracemalloc.
         group = oracle.sweep_groups(pairs_for(a_max, b_max), ell_max)[0]
         extra = _sweep_peak(group, ell_max) - _sweep_peak(group[:1], ell_max)
         assert extra <= oracle._GROUP_EXTRA_BYTES
 
 
 def _sweep_peak(group, ell_max) -> int:
-    """Peak bytes traced while group's Pairs are built and swept."""
+    """Peak bytes traced while group's pairs are swept."""
     tracemalloc.start()
     try:
-        pairs = [Pair(a, b) for a, b in group]
-        for swept in oracle.brute_force_sweeps(pairs, ell_max):
+        for swept in oracle.brute_force_sweeps(group, ell_max):
             del swept
         return tracemalloc.get_traced_memory()[1]
     finally:

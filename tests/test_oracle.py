@@ -62,7 +62,7 @@ class TestBruteForce:
                 monkeypatch.setattr(arith, name, refuse)
         with pytest.raises(AssertionError):
             arith.factorize(12)
-        grouped = oracle.brute_force_sweeps(pairs, 300)
+        grouped = oracle.brute_force_sweeps([(p.a, p.b) for p in pairs], 300)
         for pair, in_group in zip(pairs, grouped, strict=True):
             swept = oracle.brute_force_sweep(pair, 300)
             assert in_group == swept
@@ -173,7 +173,7 @@ class TestSweep:
         # 1, 2 and 3 are a in one pair and b in another, and 5 is b in two.
         pairs = [Pair(a, b) for a, b in [(1, 2), (3, 5), (11, 1), (2, 9), (-3, 5),
                                          (3**40, 2), (-(2**64) - 1, 3)]]
-        grouped = oracle.brute_force_sweeps(pairs, 300)
+        grouped = oracle.brute_force_sweeps([(p.a, p.b) for p in pairs], 300)
         for pair, in_group in zip(pairs, grouped, strict=True):
             swept = oracle.brute_force_sweep(pair, 300)
             assert len(swept) == 300 and in_group == swept
@@ -195,10 +195,11 @@ class TestSweep:
         # where the scan keeps scanning to the block's end.  The pairs are also
         # swept as one group, where 1 and -1 are each a and b.
         B = oracle._BLOCK
-        pairs = [Pair(a, b) for a, b in [(1, -1), (-1, 1), (2, 1), (-7, 4), (6, 35)]]
+        abs_ = [(1, -1), (-1, 1), (2, 1), (-7, 4), (6, 35)]
+        pairs = [Pair(a, b) for a, b in abs_]
         ell_maxes = (1, 2, 3, 4, 5, 6, 8, 9, B // 2 - 1, B // 2, B // 2 + 1,
                      B - 1, B, B + 1, 2 * B, 299, 300)
-        grouped = {n: list(oracle.brute_force_sweeps(pairs, n)) for n in ell_maxes}
+        grouped = {n: list(oracle.brute_force_sweeps(abs_, n)) for n in ell_maxes}
         for i, pair in enumerate(pairs):
             a, b = pair.a, pair.b
             scanned = [witness_by_scan(a, b, ell, 4 * ell) for ell in range(1, 301)]
@@ -222,7 +223,7 @@ class TestSweep:
         expected = [[oracle.brute_force_verdict(pair, ell) for ell in range(1, n + 1)]
                     for pair in pairs]
         assert oracle.brute_force_sweep(pairs[0], n) == expected[0]
-        group = pairs + [Pair(b, a) for a, b in abs_]
+        group = abs_ + [(b, a) for a, b in abs_]
         assert list(oracle.brute_force_sweeps(group, n)) == expected + expected
 
     def test_divides_is_exact_below_the_cap(self):
@@ -250,8 +251,8 @@ class TestSweep:
 
     def test_remainders_do_not_grow_with_pairs(self, monkeypatch):
         # The sweep reduces arrays only by np.remainder into an out array:
-        # once per doubling step of its tables, once to start the running
-        # rows and once per block for them.  A group of five pairs over the
+        # once per doubling step of its tables and once per block for the
+        # running rows.  A group of five pairs over the
         # bases of one pair makes as many calls as that pair alone.
         calls = []
 
@@ -266,22 +267,22 @@ class TestSweep:
         monkeypatch.setattr(oracle, "np", CountingNumpy())
         ell_max, B = 300, oracle._BLOCK
         doublings, blocks = B.bit_length() - 1, -(-2 * ell_max // B)
-        one = [Pair(2, 3)]
-        five = [Pair(2, 3), Pair(3, 2), Pair(2, 3), Pair(3, 2), Pair(2, 3)]
+        one = [(2, 3)]
+        five = [(2, 3), (3, 2), (2, 3), (3, 2), (2, 3)]
         swept = list(oracle.brute_force_sweeps(one, ell_max))
         alone = len(calls)
         assert list(oracle.brute_force_sweeps(five, ell_max)) == swept * 5
-        assert len(calls) - alone == alone == doublings + 1 + blocks
+        assert len(calls) - alone == alone == doublings + blocks
 
-    def test_cap_keeps_products_in_int32(self):
+    def test_cap_keeps_sums_in_uint32(self):
         cap = oracle._SWEEP_ELL_CAP
         assert cap**2 < 2**31 <= (cap + 1) ** 2
         assert 2 * cap**2 < 2**32 <= 2 * (cap + 1) ** 2
 
     @pytest.mark.parametrize("ell_max", [-1, 46341, 2**31])
     def test_refuses_bad_ell_max_before_allocating(self, monkeypatch, ell_max):
-        # Past the cap a product of two residues would overflow the int32
-        # arrays of the scan.
+        # Past the cap a sum of two products of residues would overflow the
+        # uint32 arrays of the scan.
         class NoNumpy:
             def __getattr__(self, name):
                 raise AssertionError(f"np.{name} used before the bound check")
