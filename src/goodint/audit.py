@@ -107,9 +107,10 @@ def _pow_mod_vec(base: np.ndarray, exp: np.ndarray, mod) -> np.ndarray:
     """Elementwise base**exp mod `mod`, by square-and-multiply over the bits of exp.
 
     `mod` is an int or an array shaped like `base` (one modulus per
-    element); int64, and every mod**2 must fit in int64.  The loop runs
-    once per bit of the largest exponent.  Each step multiplies every
-    element and keeps the product where the exponent bit is set, by
+    element).  Any integer dtype works in which every mod**2 fits: the
+    result has base's dtype, and no intermediate exceeds (mod - 1)**2.  The
+    loop runs once per bit of the largest exponent.  Each step multiplies
+    every element and keeps the product where the exponent bit is set, by
     arithmetic (result += (product - result) * bit) rather than a masked
     copy.  Empty input gives an empty result.
     """
@@ -183,10 +184,14 @@ def audit_negation_from_even_order(
     d_max**2 of them).  Counterexamples only ever appear for d with at least
     two distinct prime factors; the scan verifies rather than assumes this.
 
-    Orders come per modulus from the prime-power order tables.  The powers
+    Orders come per modulus from the prime-power order tables.  A prime
+    power d reads its units of even order straight off its own table, where
+    every non-unit reads the odd order 1; any other d masks out its
+    non-units and takes the lcm of its prime powers' orders.  The powers
     are raised in blocks of consecutive moduli, each closed once it holds
-    _NEG_BLOCK_ROWS rows, by one _pow_mod_vec call against one modulus per
-    row, and the findings are split back per modulus.
+    _NEG_BLOCK_ROWS rows, by one _pow_mod_vec call in int32 against one
+    modulus per row; each block gathers its counterexample rows once and
+    splits them per modulus.
 
     d_max must be in 1..10**4: time and output grow faster than
     quadratically (d_max = 5000 already yields over 500 MB of findings
@@ -203,17 +208,22 @@ def audit_negation_from_even_order(
         for pp in pps:
             if pp not in tables:
                 tables[pp] = order_table(pp)
-        coprime = np.ones(d, dtype=bool)
-        for p, _ in f.odd_part:
-            coprime[::p] = False
-        x = np.nonzero(coprime)[0].astype(np.int64)
-        t = tables[pps[0]][x % pps[0]]
-        for pp in pps[1:]:
-            t = np.lcm(t, tables[pp][x % pp])
-        even = (t & 1) == 0
-        xe = x[even]
-        block.append((d, xe, t[even]))
-        rows += len(xe)
+        if len(pps) == 1:
+            t = tables[d]
+            x = ((t & 1) == 0).nonzero()[0]
+            t = t[x]
+        else:
+            units = np.ones(d, dtype=bool)
+            for p, _ in f.odd_part:
+                units[::p] = False
+            x = units.nonzero()[0]
+            t = tables[pps[0]][x % pps[0]]
+            for pp in pps[1:]:
+                t = np.lcm(t, tables[pp][x % pp])
+            even = (t & 1) == 0
+            x, t = x[even], t[even]
+        block.append((d, x, t))
+        rows += len(x)
         if rows >= _NEG_BLOCK_ROWS:
             yield from _negation_block(block)
             block, rows = [], 0
@@ -225,20 +235,28 @@ def _negation_block(block):
     """The counterexample columns of a block of moduli, one x**k mod d for all.
 
     block holds (d, x, t) per modulus, ascending in d, with x its units of
-    even order t.
+    even order t.  The rows x, k, y, t of all its moduli share one int32
+    array.  Its counterexample rows are gathered once, and each modulus's
+    columns are a slice of that gather, cast to int64 as it is yielded.
     """
     ds = [d for d, _, _ in block]
     counts = [len(x) for _, x, _ in block]
-    x = np.concatenate([x for _, x, _ in block])
-    t = np.concatenate([t for _, _, t in block], dtype=np.int64)
-    mod = np.repeat(np.array(ds, dtype=np.int64), counts)
-    k = t >> 1
-    y = _pow_mod_vec(x, k, mod)
-    bad = np.flatnonzero(y != mod - 1)
-    cuts = np.searchsorted(bad, np.cumsum(counts)[:-1])
-    for d, sel in zip(ds, np.split(bad, cuts)):
-        if sel.size:
-            yield d, x[sel], k[sel], y[sel], t[sel]
+    # int32 is exact: d <= 10**4, so every product in _pow_mod_vec is below
+    # 10**8 < 2**31.
+    cols = np.empty((4, sum(counts)), dtype=np.int32)
+    x, k, y, t = cols
+    np.concatenate([xd for _, xd, _ in block], out=x)
+    np.concatenate([td for _, _, td in block], out=t)
+    np.right_shift(t, 1, out=k)
+    mod = np.repeat(np.array(ds, dtype=np.int32), counts)
+    y[:] = _pow_mod_vec(x, k, mod)
+    bad = (y != mod - 1).nonzero()[0]
+    found = cols[:, bad]
+    lo = 0
+    for d, hi in zip(ds, np.searchsorted(bad, np.cumsum(counts)).tolist()):
+        if hi > lo:
+            yield d, *found[:, lo:hi].astype(np.int64)
+        lo = hi
 
 
 # ---------------------------------------------------------------------------

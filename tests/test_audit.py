@@ -49,6 +49,18 @@ class TestOrderTables:
         got = audit._pow_mod_vec(base, exp, mod)
         for b, e, m, r in zip(base, exp, mod, got):
             assert r == pow(int(b), int(e), int(m))
+        # int32 at the jitman_eq2 scan's ceiling: moduli up to 9999, so every
+        # product stays below 10**8 < 2**31
+        mod = rng.integers(3, 10**4, 2000).astype(np.int32)
+        mod[:3] = 9999
+        base = (rng.integers(0, 2**31, 2000) % mod).astype(np.int32)
+        base[:3] = mod[:3] - 1
+        exp = rng.integers(0, 5001, 2000).astype(np.int32)
+        exp[:3] = 5000, 4999, 4096
+        got = audit._pow_mod_vec(base, exp, mod)
+        assert got.dtype == np.int32
+        for b, e, m, r in zip(base.tolist(), exp.tolist(), mod.tolist(), got.tolist()):
+            assert r == pow(b, e, m)
         empty = np.empty(0, dtype=np.int64)
         for m in (997, empty):
             got = audit._pow_mod_vec(empty, empty, m)
@@ -127,6 +139,25 @@ class TestNegationFromEvenOrder:
         assert built == sorted(set(built)) == [
             q for q in range(3, 101, 2) if len(arith.factorize(q).odd_part) == 1]
         assert len(built) == 29
+
+    def test_unit_mask_only_for_moduli_with_two_primes(self, monkeypatch):
+        # A prime power reads its units of even order off its own table; only
+        # the 20 odd d <= 100 with two or more distinct primes mask their units.
+        masked = []
+
+        class CountingNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def ones(self, shape, dtype=None):
+                if dtype is bool:
+                    masked.append(shape)
+                return np.ones(shape, dtype=dtype)
+
+        monkeypatch.setattr(audit, "np", CountingNumpy())
+        assert negation_rows(100)
+        assert masked == [d for d in range(3, 101, 2) if len(factor_by_trial(d)) >= 2]
+        assert len(masked) == 20
 
     def test_contains_11_mod_15(self):
         rows = negation_rows(15)

@@ -62,6 +62,16 @@ sys.exit(goodint.cli.main(json.loads(sys.argv[1])))
 """
 
 
+# The CLI in a fresh interpreter that first lowers one of its own soft
+# resource limits.  argv: the resource name, its new soft limit, the CLI argv.
+_LIMITED = """
+import resource, runpy, sys
+name, value = sys.argv.pop(1), int(sys.argv.pop(1))
+resource.setrlimit(getattr(resource, name), (value, resource.getrlimit(getattr(resource, name))[1]))
+runpy.run_module("goodint", run_name="__main__")
+"""
+
+
 def _children(pid: int) -> list[int]:
     with open(f"/proc/{pid}/task/{pid}/children") as fh:
         return [int(child) for child in fh.read().split()]
@@ -735,6 +745,47 @@ class TestRuntimeFailure:
                                   stderr=subprocess.PIPE, text=True, cwd=PKG_ROOT, timeout=60)
         assert proc.returncode == 70
         assert proc.stderr == "goodint: [Errno 28] No space left on device\n"
+
+    @pytest.mark.parametrize("limit, value", [
+        # Two `--jobs 2` workers need 12 descriptors with CPython 3.11 on
+        # Linux: at 11 the first starts and the second's pipe fails.
+        ("RLIMIT_NOFILE", 11),
+        ("RLIMIT_NOFILE", 12),
+        ("RLIMIT_FSIZE", 64 * 1024),
+    ])
+    @pytest.mark.parametrize("argv", [
+        ("classify", "--a", "3", "--b", "5", "--ell", "7"),
+        ("order", "--x", "3", "--mod", "1000"),
+        ("enumerate", "--a", "3", "--b", "5", "--max", "3000", "--jobs", "1"),
+        ("enumerate", "--a", "3", "--b", "5", "--max", "3000", "--jobs", "2"),
+        ("audit", "--claim", "crossval", "--a-max", "6", "--b-max", "6", "--ell-max", "300",
+         "--jobs", "2"),
+        ("audit", "--claim", "jitman-eq2", "--d-max", "101"),
+    ])
+    def test_resource_limit_exits_0_or_70(self, tmp_path, argv, limit, value):
+        # The limit is set in the child alone, before it imports goodint,
+        # with stdout on a file.  Exit 0 writes the whole output; exit 70
+        # writes one stderr line after a prefix of it.
+        _, want, _ = run_main(list(argv))
+        stdout = tmp_path / "stdout"
+        with open(stdout, "wb") as out, subprocess.Popen(
+                [sys.executable, "-c", _LIMITED, limit, str(value), *argv], stdout=out,
+                stderr=subprocess.PIPE, cwd=PKG_ROOT, start_new_session=True) as proc:
+            try:
+                _, err = proc.communicate(timeout=10)
+                assert session_left(proc.pid) == []
+            finally:
+                with contextlib.suppress(ProcessLookupError):
+                    os.killpg(proc.pid, signal.SIGKILL)
+        got = stdout.read_text()
+        if proc.returncode == 0:
+            assert (got, err) == (want, b"")
+        else:
+            assert proc.returncode == 70
+            assert want.startswith(got)
+            assert re.fullmatch(rb"goodint: \[Errno (24|27)\] [^\n]+\n", err)
+        if len(want) > value and limit == "RLIMIT_FSIZE":
+            assert (proc.returncode, err) == (70, b"goodint: [Errno 27] File too large\n")
 
 
 # cli.main in a fresh interpreter with the benchmark's span tracer wrapping
