@@ -66,8 +66,8 @@ sys.exit(goodint.cli.main(json.loads(sys.argv[1])))
 # resource limits.  argv: the resource name, its new soft limit, the CLI argv.
 _LIMITED = """
 import resource, runpy, sys
-name, value = sys.argv.pop(1), int(sys.argv.pop(1))
-resource.setrlimit(getattr(resource, name), (value, resource.getrlimit(getattr(resource, name))[1]))
+limit, value = getattr(resource, sys.argv.pop(1)), int(sys.argv.pop(1))
+resource.setrlimit(limit, (value, resource.getrlimit(limit)[1]))
 runpy.run_module("goodint", run_name="__main__")
 """
 
