@@ -112,11 +112,9 @@ def _pow_mod_vec(base: np.ndarray, exp: np.ndarray, mod) -> np.ndarray:
     loop runs once per bit of the largest exponent.  Each step multiplies
     every element and keeps the product where the exponent bit is set, by
     arithmetic (result += (product - result) * bit) rather than a masked
-    copy.  Empty input gives an empty result.
+    copy.
     """
     result = np.ones_like(base)
-    if not base.size:
-        return result
     tmp = np.empty_like(base)
     bit = np.empty_like(exp)
     b = base % mod
@@ -177,12 +175,13 @@ def audit_negation_from_even_order(
     """Scan every odd d <= d_max and every coprime x of even order 2k.
 
     Evaluates x**k mod d directly and, for each odd d with counterexamples,
-    in ascending d, yields the columns (d, x, k, y, t): int64 arrays over its
-    counterexamples in ascending x, with t = Ord_d(x), k = t/2 and
-    y = x**k mod d != d - 1.  Moduli without counterexamples yield nothing,
-    and holding instances are not materialized (there are on the order of
-    d_max**2 of them).  Counterexamples only ever appear for d with at least
-    two distinct prime factors; the scan verifies rather than assumes this.
+    in ascending d, yields the columns (d, x, k, y, t): int32 views of the
+    block's gather over its counterexamples in ascending x, with
+    t = Ord_d(x), k = t/2 and y = x**k mod d != d - 1.  Moduli without
+    counterexamples yield nothing, and holding instances are not
+    materialized (there are on the order of d_max**2 of them).
+    Counterexamples only ever appear for d with at least two distinct prime
+    factors; the scan verifies rather than assumes this.
 
     Orders come per modulus from the prime-power order tables.  A prime
     power d reads its units of even order straight off its own table, where
@@ -237,7 +236,7 @@ def _negation_block(block):
     block holds (d, x, t) per modulus, ascending in d, with x its units of
     even order t.  The rows x, k, y, t of all its moduli share one int32
     array.  Its counterexample rows are gathered once, and each modulus's
-    columns are a slice of that gather, cast to int64 as it is yielded.
+    columns are int32 views of the block's gather.
     """
     ds = [d for d, _, _ in block]
     counts = [len(x) for _, x, _ in block]
@@ -255,7 +254,7 @@ def _negation_block(block):
     lo = 0
     for d, hi in zip(ds, np.searchsorted(bad, np.cumsum(counts)).tolist()):
         if hi > lo:
-            yield d, *found[:, lo:hi].astype(np.int64)
+            yield d, *found[:, lo:hi]
         lo = hi
 
 
